@@ -12,7 +12,7 @@
 // bits.
 //
 // The I/O-path sweep then re-runs the online scenario while varying one
-// knob at a time — buffer-pool shard count, WAL group commit, rebuild
+// knob at a time — buffer-pool shard count, file-backed WAL, rebuild
 // read-ahead — and records every window in BENCH_io_path.json together
 // with the pool and WAL counters captured inside it.
 
@@ -31,26 +31,15 @@ namespace oir::bench {
 namespace {
 
 // One knob configuration for a scenario. The WAL is the bench default
-// (in-memory, synchronous flush) unless file_wal or force_group_commit
-// says otherwise.
+// (in-memory, sealed inline on the committing thread) unless file_wal says
+// otherwise.
 struct Config {
   std::string name;
   size_t shards = 0;        // DbOptions::buffer_pool_shards; 0 = auto
   bool prefetch = true;     // RebuildOptions::prefetch
   bool file_wal = false;    // back the WAL with a file (real fsyncs)
-  bool group_commit = true; // file WAL: batch commits on the flusher thread
-  bool force_group_commit = false;  // in-memory WAL: force the flusher on
 
-  const char* WalLabel() const {
-    if (file_wal) return group_commit ? "file-group" : "file-sync";
-    return force_group_commit ? "mem-group" : "mem-sync";
-  }
-
-  // Whether commits ride the grouped ack protocol in this configuration;
-  // mean_group_size is only meaningful (and only reported) when they do.
-  bool GroupCommitOn() const {
-    return file_wal ? group_commit : force_group_commit;
-  }
+  const char* WalLabel() const { return file_wal ? "file" : "mem"; }
 };
 
 struct WindowResult {
@@ -76,10 +65,8 @@ WindowResult RunScenario(const Config& cfg, uint64_t n, int oltp_threads,
   dopts.buffer_pool_shards = cfg.shards;
   if (cfg.file_wal) {
     dopts.log_path = kFileWalPath;
-    dopts.wal_group_commit = cfg.group_commit;
   }
   auto db = OpenDbOpts(dopts);
-  if (cfg.force_group_commit) db->log_manager()->SetGroupCommit(true);
   BuildHalfUtilizedIndex(db.get(), n, 12);
 
   std::atomic<bool> stop{false};
@@ -227,9 +214,9 @@ void WriteJsonScenario(std::FILE* f, const char* scenario_mode,
       (unsigned long long)d.pool_prefetched,
       (unsigned long long)d.log_flush_calls,
       (unsigned long long)d.log_fsyncs);
-  // mean_group_size only exists when commits actually rode the grouped
-  // ack protocol (null otherwise, never a fabricated flushes/fsyncs guess).
-  if (cfg.GroupCommitOn() && d.log_groups_acked > 0) {
+  // mean_group_size only exists when some commit was acked (null
+  // otherwise, never a fabricated flushes/fsyncs guess).
+  if (d.log_groups_acked > 0) {
     std::fprintf(f,
                  ", \"commits_acked\": %llu, \"groups_acked\": %llu, "
                  "\"mean_group_size\": %.2f",
@@ -293,8 +280,8 @@ int Main(int argc, char** argv) {
   std::vector<std::pair<Config, WindowResult>> sweep_results;
   if (sweep) {
     // One knob at a time, relative to the default (shards auto, prefetch
-    // on, in-memory WAL with synchronous flush). The file-WAL pair is
-    // compared within itself: real fsyncs, group commit on vs off.
+    // on, in-memory WAL). wal-file-group swaps in a file-backed WAL: real
+    // fsyncs through the sealer thread.
     std::vector<Config> configs;
     for (size_t s : {1u, 2u, 4u}) {
       Config c;
@@ -310,22 +297,8 @@ int Main(int argc, char** argv) {
     }
     {
       Config c;
-      c.name = "groupcommit-mem";
-      c.force_group_commit = true;
-      configs.push_back(c);
-    }
-    {
-      Config c;
       c.name = "wal-file-group";
       c.file_wal = true;
-      c.group_commit = true;
-      configs.push_back(c);
-    }
-    {
-      Config c;
-      c.name = "wal-file-sync";
-      c.file_wal = true;
-      c.group_commit = false;
       configs.push_back(c);
     }
 
@@ -337,7 +310,7 @@ int Main(int argc, char** argv) {
     for (const Config& cfg : configs) {
       WindowResult r = RunScenario(cfg, n, kThreads, 1, 0);
       char group[32];
-      if (cfg.GroupCommitOn() && r.counters.log_groups_acked > 0) {
+      if (r.counters.log_groups_acked > 0) {
         std::snprintf(group, sizeof(group), "%.1f",
                       MeanGroupSize(r.counters));
       } else {

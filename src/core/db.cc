@@ -40,12 +40,9 @@ namespace {
 
 WalOptions WalOptionsFrom(const DbOptions& options) {
   WalOptions w;
-  w.pipeline = options.wal_pipeline;
   w.segment_bytes = options.wal_segment_bytes;
   w.inflight_segments = options.wal_inflight_segments;
   w.group_window_us = options.wal_group_window_us;
-  w.backend = options.wal_backend;
-  w.sync_mode = options.wal_sync_mode;
   return w;
 }
 
@@ -89,7 +86,6 @@ Status BuildStack(const DbOptions& options, bool truncate_files, Db* db,
   if (!log_path.empty()) {
     OIR_RETURN_IF_ERROR(LogManager::Open(log_path, truncate_files, log,
                                          WalOptionsFrom(options)));
-    if (!options.wal_group_commit) (*log)->SetGroupCommit(false);
   } else {
     *log = std::make_unique<LogManager>(WalOptionsFrom(options));
   }
@@ -292,8 +288,6 @@ Status Db::GetStats(StatsReport* out) {
   out->wal_tail_lsn = log_->tail_lsn();
   out->wal_durable_lsn = log_->durable_lsn();
   out->wal_bytes_appended = log_->TotalBytesAppended();
-  out->wal_group_commit = options_.wal_group_commit;
-  out->wal_pipeline = log_->pipeline_enabled();
   out->wal_backend = log_->backend_name();
   out->wal_sync_mode = log_->sync_mode_name();
   out->wal_segment_bytes = log_->segment_bytes();
@@ -338,8 +332,6 @@ std::string Db::DumpStatsJson() {
   w.Key("tail_lsn").Value(r.wal_tail_lsn);
   w.Key("durable_lsn").Value(r.wal_durable_lsn);
   w.Key("bytes_appended").Value(r.wal_bytes_appended);
-  w.Key("group_commit").Value(r.wal_group_commit);
-  w.Key("pipeline").Value(r.wal_pipeline);
   w.Key("backend").Value(r.wal_backend);
   w.Key("sync_mode").Value(r.wal_sync_mode);
   w.Key("segment_bytes").Value(r.wal_segment_bytes);
@@ -426,11 +418,11 @@ std::string Db::DumpStatsText() {
                 (unsigned long long)r.pool_shards);
   out += buf;
   std::snprintf(buf, sizeof(buf),
-                "wal: tail=%llu durable=%llu appended=%llu group_commit=%d\n",
+                "wal: tail=%llu durable=%llu appended=%llu backend=%s\n",
                 (unsigned long long)r.wal_tail_lsn,
                 (unsigned long long)r.wal_durable_lsn,
                 (unsigned long long)r.wal_bytes_appended,
-                r.wal_group_commit ? 1 : 0);
+                r.wal_backend.c_str());
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "lock: %llu keys locked, %llu watchdog fires\n",

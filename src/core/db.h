@@ -34,10 +34,8 @@ struct StatsReport {
   Lsn wal_tail_lsn = 0;
   Lsn wal_durable_lsn = 0;
   uint64_t wal_bytes_appended = 0;
-  bool wal_group_commit = false;
-  bool wal_pipeline = false;
-  std::string wal_backend;    // effective backend after probes
-  std::string wal_sync_mode;  // effective sync discipline
+  std::string wal_backend;    // "portable" (file log) or "mem"
+  std::string wal_sync_mode;  // "fdatasync"
   uint64_t wal_segment_bytes = 0;
   uint64_t wal_inflight_segments = 0;
 

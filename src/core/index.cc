@@ -232,8 +232,12 @@ Status Index::RebuildOffline(RebuildResult* result) {
     (void)tm_->Abort(txn.get());  // already propagating the first error
     return s;
   }
-  OIR_RETURN_IF_ERROR(bm_->FlushAll());
-  OIR_RETURN_IF_ERROR(tm_->Commit(txn.get()));
+  s = bm_->FlushAll();
+  if (s.ok()) s = tm_->Commit(txn.get());
+  if (!s.ok()) {
+    tm_->Abandon(std::move(txn));  // I/O error: left to restart recovery
+    return s;
+  }
   for (PageId p : old_pages) {
     bm_->Discard(p);  // before Free (see OnlineRebuilder: a concurrent
     space_->Free(p);  // allocation must not race with the discard)

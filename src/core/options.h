@@ -9,7 +9,6 @@
 #include <string>
 
 #include "obs/progress.h"
-#include "storage/async_io.h"
 #include "storage/page.h"
 
 namespace oir {
@@ -28,19 +27,13 @@ struct DbOptions {
   // global-mutex pool for ablation.
   size_t buffer_pool_shards = 0;
 
-  // WAL group commit: committers enqueue on a dedicated flusher thread and
-  // one batched write+fsync covers every waiter in the group. Applies only
-  // to file-backed logs (an in-memory log has no fsync to batch; see
-  // LogManager::SetGroupCommit to force it there for testing).
-  bool wal_group_commit = true;
-
-  // Pipelined durable log path (file-backed logs): the WAL tail is carved
-  // into segments that a dedicated sealer thread hands to an async backend,
-  // so up to wal_inflight_segments write+sync operations overlap and
-  // committers are acked on completion instead of taking turns behind one
-  // blocking fsync. false restores the legacy one-round-at-a-time flusher
-  // (ablation / "before" benchmarks).
-  bool wal_pipeline = true;
+  // The WAL's durable path is one segment pipeline (wal/log_manager.h): the
+  // log tail is carved into segments that are sealed, written with pwrite +
+  // fdatasync (storage/async_io.h) and completed in order, and committers
+  // are acked on completion. For a file-backed log a sealer thread seals
+  // and up to wal_inflight_segments write+sync operations overlap; an
+  // in-memory log seals and completes inline on the committing thread. The
+  // three values below tune it.
 
   // Maximum bytes per sealed log segment. Smaller segments reduce
   // commit-ack latency; larger ones amortize the per-sync cost.
@@ -53,13 +46,6 @@ struct DbOptions {
   // demands a flush the sealer keeps the segment open this long so
   // concurrent commits share one device round. 0 seals immediately.
   uint32_t wal_group_window_us = 100;
-
-  // Async log I/O backend and sync discipline (see storage/async_io.h).
-  // Both are runtime-probed with fallbacks: uring→portable worker pool,
-  // O_DIRECT→buffered fdatasync. Overridable via OIR_WAL_BACKEND /
-  // OIR_WAL_SYNC environment variables.
-  WalBackend wal_backend = WalBackend::kAuto;
-  WalSyncMode wal_sync_mode = WalSyncMode::kFdatasync;
 
   // Background write-back worker: evictions prefer clean frames and hand
   // dirty ones to a dedicated cleaner, and checkpoints route their dirty

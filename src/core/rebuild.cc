@@ -265,6 +265,13 @@ Status OnlineRebuilder::Impl::Run() {
   while (!done) {
     OIR_CRASH_POINT("rebuild.txn.begin");
     std::unique_ptr<Transaction> txn = tm->Begin();
+    // An error return below can leave txn active (its commit or abort never
+    // completed); the manager then keeps it until restart recovery.
+    struct AbandonIfActive {
+      TransactionManager* tm;
+      std::unique_ptr<Transaction>* txn;
+      ~AbandonIfActive() { tm->Abandon(std::move(*txn)); }
+    } abandon_guard{tm, &txn};
     OpCtx op{txn->id(), txn->ctx()};
     flush_pages_txn.clear();
     old_pages_txn.clear();
@@ -301,13 +308,15 @@ Status OnlineRebuilder::Impl::Run() {
       // Abort path (Section 4.1.3): the in-flight top action was already
       // rolled back inside TopAction; completed top actions survive the
       // transaction rollback (nested top actions). Their new pages must be
-      // flushed before their old pages are freed.
-      // Best-effort: the abort outcome does not depend on this flush.
-      (void)bm->FlushPages(flush_pages_txn, opts.io_pages);
+      // flushed before their old pages are freed. The abort outcome does
+      // not depend on this flush; if it fails, the old pages stay
+      // deallocated and restart recovery frees them.
+      const bool forced =
+          bm->FlushPages(flush_pages_txn, opts.io_pages).ok();
       Status ab = tm->Abort(txn.get());
       (void)ab;
       for (PageId p : old_pages_txn) {
-        if (space->GetState(p) == PageState::kDeallocated) {
+        if (forced && space->GetState(p) == PageState::kDeallocated) {
           // Drop the stale buffer BEFORE the page becomes allocatable;
           // otherwise a concurrent allocation could format the page and
           // have its frame discarded from under it.

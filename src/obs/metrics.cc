@@ -53,12 +53,12 @@ void MetricRegistry::RegisterCounter(const std::string& name,
 
 void MetricRegistry::RegisterGauge(const std::string& name,
                                    std::function<uint64_t()> fn) {
-  MutexLock l(mu_);
+  MutexLock l(gauge_mu_);
   gauges_[name] = std::move(fn);
 }
 
 void MetricRegistry::UnregisterGauge(const std::string& name) {
-  MutexLock l(mu_);
+  MutexLock l(gauge_mu_);
   gauges_.erase(name);
 }
 
@@ -72,15 +72,15 @@ TimerStat* MetricRegistry::Timer(const std::string& name) {
 }
 
 MetricRegistry::Snapshot MetricRegistry::TakeSnapshot() const {
-  // Copy the maps under the lock, then sample outside it: a gauge callback
-  // may itself touch the registry.
+  // Copy the counter and timer maps under mu_, then read them outside it.
+  // Gauges are sampled under gauge_mu_ (not mu_, so a callback may still
+  // read counters or timers): UnregisterGauge then cannot return while a
+  // callback is running on what its owner is about to destroy.
   std::vector<std::pair<std::string, const std::atomic<uint64_t>*>> counters;
-  std::vector<std::pair<std::string, std::function<uint64_t()>>> gauges;
   std::vector<TimerStat*> timers;
   {
     MutexLock l(mu_);
     counters.assign(counters_.begin(), counters_.end());
-    gauges.assign(gauges_.begin(), gauges_.end());
     timers.reserve(timers_.size());
     for (const auto& [_, t] : timers_) timers.push_back(t.get());
   }
@@ -89,8 +89,13 @@ MetricRegistry::Snapshot MetricRegistry::TakeSnapshot() const {
   for (const auto& [name, v] : counters) {
     snap.counters.emplace_back(name, v->load(std::memory_order_relaxed));
   }
-  snap.gauges.reserve(gauges.size());
-  for (const auto& [name, fn] : gauges) snap.gauges.emplace_back(name, fn());
+  {
+    MutexLock l(gauge_mu_);
+    snap.gauges.reserve(gauges_.size());
+    for (const auto& [name, fn] : gauges_) {
+      snap.gauges.emplace_back(name, fn());
+    }
+  }
   snap.timers.reserve(timers.size());
   for (TimerStat* t : timers) {
     Histogram h;

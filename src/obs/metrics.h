@@ -78,7 +78,9 @@ class MetricRegistry {
   void RegisterCounter(const std::string& name,
                        const std::atomic<uint64_t>* v);
   // Gauges are sampled at snapshot time. The callback must be safe to call
-  // from any thread; unregister before anything it captures dies.
+  // from any thread and must not register or unregister gauges; unregister
+  // before anything it captures dies (UnregisterGauge waits out a sample in
+  // progress).
   void RegisterGauge(const std::string& name, std::function<uint64_t()> fn);
   void UnregisterGauge(const std::string& name);
 
@@ -113,10 +115,14 @@ class MetricRegistry {
 
   static std::atomic<bool> timers_enabled_;
 
+  // Held while gauges are sampled, so a gauge cannot be unregistered (and
+  // what it captures destroyed) mid-call. Taken before mu_, never after.
+  mutable Mutex gauge_mu_;
   mutable Mutex mu_;
   std::map<std::string, const std::atomic<uint64_t>*> counters_
       OIR_GUARDED_BY(mu_);
-  std::map<std::string, std::function<uint64_t()>> gauges_ OIR_GUARDED_BY(mu_);
+  std::map<std::string, std::function<uint64_t()>> gauges_
+      OIR_GUARDED_BY(gauge_mu_);
   std::map<std::string, std::unique_ptr<TimerStat>> timers_
       OIR_GUARDED_BY(mu_);
   std::map<std::string, std::string> reports_ OIR_GUARDED_BY(mu_);

@@ -339,6 +339,13 @@ Status BufferManager::FlushPage(PageId id) {
 }
 
 Status BufferManager::FlushAll() {
+  OIR_RETURN_IF_ERROR(WriteBackDirty());
+  // Pages cleaned earlier by eviction or the write-back worker were written
+  // without a barrier; the checkpoint needs all of them on stable storage.
+  return disk_->Sync();
+}
+
+Status BufferManager::WriteBackDirty() {
   std::vector<PageId> ids;
   for (Shard& sh : shards_) {
     MutexLock l(sh.mu);
@@ -570,7 +577,10 @@ Status BufferManager::FlushPages(const std::vector<PageId>& ids,
     release_run(/*wrote=*/s.ok());
     if (!s.ok()) return s;
   }
-  return Status::OK();
+  // The forced write is only forced once it is on stable storage: the
+  // caller frees the old pages next. This also covers pages of `ids` that
+  // eviction already wrote back without a barrier.
+  return disk_->Sync();
 }
 
 Status BufferManager::Prefetch(PageId first, uint32_t count) {

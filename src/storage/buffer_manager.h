@@ -137,10 +137,12 @@ class BufferManager {
   // stays cached.
   Status FlushPage(PageId id);
 
-  // Flushes all dirty pages.
+  // Writes every dirty page back and then syncs the disk, so every page
+  // written so far is durable when it returns OK.
   Status FlushAll();
 
-  // Forced write of a specific set of pages. Physically contiguous ids are
+  // Forced write of a specific set of pages, ending with a disk sync: on
+  // OK every page of `ids` is durable. Physically contiguous ids are
   // grouped into transfers of up to io_pages pages each (io_pages >= 1,
   // and at most pool_frames(): the run buffer must not exceed the pool).
   Status FlushPages(const std::vector<PageId>& ids, uint32_t io_pages);
@@ -273,6 +275,9 @@ class BufferManager {
   // running. Canceled batch waiters see Busy.
   void CancelWriteBack();
   bool wb_running() const { return wb_thread_.joinable(); }
+  // FlushAll's write phase: every dirty page, through the worker when it
+  // runs (one batch with a barrier), inline otherwise. No disk sync.
+  Status WriteBackDirty();
 
   Disk* const disk_;
   const uint32_t page_size_;

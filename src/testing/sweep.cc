@@ -18,6 +18,8 @@
 #include "testing/fault_disk.h"
 #include "testing/oracle.h"
 #include "util/random.h"
+#include "wal/log_manager.h"
+#include "wal/log_record.h"
 
 namespace oir::fault {
 namespace {
@@ -52,7 +54,7 @@ struct WorkloadRun {
   RebuildResult rebuild_result;
 };
 
-Status OpenDb(const SweepWorkloadOptions& opts, WorkloadRun* run) {
+Status OpenDb(WorkloadRun* run) {
   DbOptions dopts;
   dopts.page_size = 2048;
   // Generous pool: the whole working set stays cached, so no eviction
@@ -67,7 +69,6 @@ Status OpenDb(const SweepWorkloadOptions& opts, WorkloadRun* run) {
     return wrapped;
   };
   OIR_RETURN_IF_ERROR(Db::Open(dopts, &run->db));
-  run->db->log_manager()->SetGroupCommit(opts.group_commit);
   // Post-cut a thread can strand logical locks (its transaction is
   // abandoned, never rolled back until recovery); a short wait timeout
   // turns any thread blocked behind one into a prompt Aborted instead of
@@ -259,6 +260,21 @@ std::string ReproLine(const SweepWorkloadOptions& opts,
   return os.str();
 }
 
+// True when the log holds the rebuild's done record. It rides ahead of the
+// commit of the rebuild's last transaction, so a concurrent commit's flush
+// can make it durable while that commit itself dies in the crash. The
+// rebuild is then complete: every top action is a nested top action that
+// survives the rollback, and recovery correctly arms no resume point.
+bool RebuildDoneIsDurable(const LogManager* log) {
+  for (auto it = log->Scan(log->head_lsn()); it.Valid(); it.Next()) {
+    if (it.record().type == LogType::kRebuildProgress &&
+        it.record().rebuild_progress.done) {
+      return true;
+    }
+  }
+  return false;
+}
+
 Status Fail(const SweepWorkloadOptions& opts, const std::string& point,
             uint64_t hit, const std::string& why) {
   std::ostringstream os;
@@ -333,7 +349,7 @@ Status EnumerateCrashPoints(
     const SweepWorkloadOptions& opts,
     std::vector<std::pair<std::string, uint64_t>>* points) {
   WorkloadRun run;
-  OIR_RETURN_IF_ERROR(OpenDb(opts, &run));
+  OIR_RETURN_IF_ERROR(OpenDb(&run));
   auto& reg = CrashPointRegistry::Get();
   reg.Disarm();
   reg.ResetCounts();
@@ -349,7 +365,7 @@ Status RunCrashIteration(const SweepWorkloadOptions& opts,
                          CrashIterationResult* result) {
   *result = CrashIterationResult();
   WorkloadRun run;
-  OIR_RETURN_IF_ERROR(OpenDb(opts, &run));
+  OIR_RETURN_IF_ERROR(OpenDb(&run));
 
   LogManager* log = run.db->log_manager();
   FaultInjectingDisk* fdisk = run.fdisk;
@@ -421,7 +437,8 @@ Status RunCrashIteration(const SweepWorkloadOptions& opts,
   }
   if (result->rebuild_crashed && result->triggered &&
       opts.rebuild_progress_interval > 0 &&
-      run.rebuild_result.transactions > 0 && !db->has_pending_rebuild()) {
+      run.rebuild_result.transactions > 0 && !db->has_pending_rebuild() &&
+      !RebuildDoneIsDurable(db->log_manager())) {
     std::ostringstream why;
     why << "crashed rebuild had " << run.rebuild_result.transactions
         << " committed transactions but recovery armed no resume point — "

@@ -32,12 +32,18 @@ class Transaction {
 
   TxnId id() const { return ctx_.txn_id; }
   TxnContext* ctx() { return &ctx_; }
-  Lsn last_lsn() const { return ctx_.last_lsn; }
+  // Atomic loads: checkpoints and the flight recorder read these from other
+  // threads while the owner appends (LogManager::Append stores atomically).
+  Lsn last_lsn() const {
+    return __atomic_load_n(&ctx_.last_lsn, __ATOMIC_RELAXED);
+  }
 
   // LSN of the transaction's begin record: the log may not be truncated
   // past the oldest active transaction's begin (its undo chain must stay
   // readable). kInvalidLsn until the first record is logged (lazy begin).
-  Lsn begin_lsn() const { return ctx_.begin_lsn; }
+  Lsn begin_lsn() const {
+    return __atomic_load_n(&ctx_.begin_lsn, __ATOMIC_RELAXED);
+  }
 
   TxnState state() const { return state_; }
   void set_state(TxnState s) { state_ = s; }

@@ -104,9 +104,16 @@ void TransactionManager::ReleaseTrackedLocks(Transaction* txn) {
   txn->clear_tracked_locks();
 }
 
+void TransactionManager::Abandon(std::unique_ptr<Transaction> txn) {
+  if (txn == nullptr || txn->state() != TxnState::kActive) return;
+  MutexLock l(mu_);
+  abandoned_.push_back(std::move(txn));
+}
+
 void TransactionManager::ResetAfterCrash(TxnId next_id) {
   MutexLock l(mu_);
   active_.clear();
+  abandoned_.clear();
   TxnId cur = next_txn_id_.load(std::memory_order_relaxed);
   if (next_id > cur) next_txn_id_.store(next_id, std::memory_order_relaxed);
 }

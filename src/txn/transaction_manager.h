@@ -49,6 +49,12 @@ class TransactionManager {
   // released as many times.
   Status LockLogical(Transaction* txn, RowId row, LockMode mode);
 
+  // Takes over a transaction its owner gives up on while it is still
+  // active (an I/O error cut its commit short). It stays in the active
+  // table, so checkpoints record it as a loser, and alive until
+  // ResetAfterCrash. A finished transaction is simply destroyed.
+  void Abandon(std::unique_ptr<Transaction> txn);
+
   // Crash simulation: forgets in-flight transactions and advances the id
   // counter past every id seen in the recovered log.
   void ResetAfterCrash(TxnId next_id);
@@ -82,8 +88,10 @@ class TransactionManager {
   std::atomic<TxnId> next_txn_id_{1};
   mutable Mutex mu_;
   // Active transactions. The Transaction object is owned by the caller and
-  // must outlive its activity (guaranteed by Commit/Abort removing it).
+  // must outlive its activity (guaranteed by Commit/Abort removing it, or
+  // by Abandon taking it over).
   std::map<TxnId, Transaction*> active_ OIR_GUARDED_BY(mu_);
+  std::vector<std::unique_ptr<Transaction>> abandoned_ OIR_GUARDED_BY(mu_);
 };
 
 }  // namespace oir

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 
@@ -43,11 +42,11 @@ LogManager::LogManager(const WalOptions& wal)
 LogManager::~LogManager() {
   {
     MutexLock l(mu_);
-    stop_flusher_ = true;
+    stop_sealer_ = true;
   }
   flush_cv_.NotifyAll();
   flushed_cv_.NotifyAll();
-  if (flusher_.joinable()) flusher_.join();
+  if (sealer_.joinable()) sealer_.join();
   // Let any submitted-but-incomplete segment finish before closing the fd;
   // completions still run OnSegmentComplete, which is safe (the object is
   // alive and the sealer is gone).
@@ -58,53 +57,13 @@ LogManager::~LogManager() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void LogManager::SetGroupCommit(bool on) {
-  MutexLock l(mu_);
-  group_commit_ = on;
-  // The flusher thread is started lazily on first enable (and kept across
-  // toggles) so a purely synchronous log never spawns one — and so Open's
-  // single-threaded recovery path runs before any concurrent access.
-  if (on && !flusher_.joinable()) {
-    if (wal_opts_.pipeline) {
-      flusher_ = std::thread([this] { PipelineLoop(); });
-    } else {
-      flusher_ = std::thread([this] { FlusherLoop(); });
-    }
-  }
-}
-
-bool LogManager::group_commit() const {
-  MutexLock l(mu_);
-  return group_commit_;
-}
-
-const char* LogManager::backend_name() const {
-  if (writer_) return writer_->backend_name();
-  return fd_ >= 0 ? "sync" : "mem";
-}
-
-const char* LogManager::sync_mode_name() const {
-  if (writer_) return WalSyncModeName(writer_->sync_mode());
-  return WalSyncModeName(WalSyncMode::kFdatasync);
-}
-
 // File layout: a 24-byte header [magic:8]["trim_base":8][reserved:8]
 // followed by the log bytes from trim_base on. The in-memory buffer always
 // mirrors the retained log, so reads never touch the file.
 Status LogManager::Open(const std::string& path, bool truncate,
                         std::unique_ptr<LogManager>* out,
                         const WalOptions& wal) {
-  WalOptions opts = SanitizeWalOptions(wal);
-  // Environment overrides so CI can force the portable fallback (and devs
-  // can A/B backends) without a rebuild.
-  if (const char* e = std::getenv("OIR_WAL_BACKEND"); e != nullptr && *e) {
-    ParseWalBackend(e, &opts.backend);
-  }
-  if (const char* e = std::getenv("OIR_WAL_SYNC"); e != nullptr && *e) {
-    ParseWalSyncMode(e, &opts.sync_mode);
-  }
-
-  auto log = std::unique_ptr<LogManager>(new LogManager(opts));
+  auto log = std::unique_ptr<LogManager>(new LogManager(wal));
   int flags = O_RDWR | O_CREAT | (truncate ? O_TRUNC : 0);
   int fd = ::open(path.c_str(), flags, 0644);
   if (fd < 0) {
@@ -129,7 +88,7 @@ Status LogManager::Open(const std::string& path, bool truncate,
     if (r < 0 || static_cast<size_t>(r) != body.size()) {
       return Status::IOError("log body read failed");
     }
-    // Open is single-threaded (no flusher yet), but the guarded fields are
+    // Open is single-threaded (no sealer yet), but the guarded fields are
     // still touched under mu_ in bounded scopes: ReadRecord below takes the
     // (non-recursive) mutex itself.
     const Lsn trim_base = trim <= kHeaderSize ? 0 : trim;
@@ -138,7 +97,6 @@ Status LogManager::Open(const std::string& path, bool truncate,
       // For an untrimmed log the body includes the in-memory header padding.
       log->buf_ = std::move(body);
       log->trim_base_ = trim_base;
-      log->file_header_ = header;
     }
     // A crash mid-write can leave a torn record at the tail; truncate the
     // log at the end of the valid prefix so future appends extend a clean
@@ -161,10 +119,8 @@ Status LogManager::Open(const std::string& path, bool truncate,
       log->buf_.resize(valid_end - trim_base);
       log->durable_lsn_ = valid_end;
       log->submitted_lsn_ = valid_end;
-      log->file_synced_ = valid_end;
       // Drop the torn bytes from the file too: a later partial overwrite
-      // must not splice them into a seemingly valid chain, and O_DIRECT
-      // segment padding assumes nothing live beyond the logical tail.
+      // must not splice them into a seemingly valid chain.
       const off_t valid_size =
           static_cast<off_t>(log->FileOffsetLocked(valid_end));
       if (size > valid_size) {
@@ -182,10 +138,6 @@ Status LogManager::Open(const std::string& path, bool truncate,
         static_cast<ssize_t>(header.size())) {
       return Status::IOError("log header write failed");
     }
-    MutexLock l(log->mu_);
-    log->file_header_ = header;
-    log->file_synced_ = kHeaderSize;
-    OIR_RETURN_IF_ERROR(log->PersistLocked());
   }
 
   // Master checkpoint sidecar.
@@ -206,59 +158,17 @@ Status LogManager::Open(const std::string& path, bool truncate,
   if (mfd >= 0) ::close(mfd);
   if (truncate) ::unlink(mpath.c_str());
 
-  // Async backend for the pipelined durable path. Create() probes io_uring
-  // and O_DIRECT and falls back internally; if even the portable writer
-  // cannot open the file, fall back to the legacy blocking flusher.
-  if (log->wal_opts_.pipeline) {
-    LogManager* raw = log.get();
-    std::unique_ptr<AsyncLogWriter> w;
-    Status ws = AsyncLogWriter::Create(
-        path, opts.backend, opts.sync_mode, opts.inflight_segments,
-        [raw](uint64_t seq, Status s) {
-          raw->OnSegmentComplete(seq, std::move(s));
-        },
-        &w);
-    if (ws.ok()) {
-      log->writer_ = std::move(w);
-    } else {
-      log->wal_opts_.pipeline = false;
-    }
-  }
-
-  // File-backed logs default to group commit: there is a real fsync whose
-  // cost is worth amortizing across concurrent committers.
-  log->SetGroupCommit(true);
+  // The segment writer and the sealer thread: the file log's durable path.
+  LogManager* raw = log.get();
+  OIR_RETURN_IF_ERROR(PwriteLogWriter::Create(
+      path, log->wal_opts_.inflight_segments,
+      [raw](uint64_t seq, Status s) {
+        raw->OnSegmentComplete(seq, std::move(s));
+      },
+      &log->writer_));
+  log->sealer_ = std::thread([raw] { raw->SealerLoop(); });
 
   *out = std::move(log);
-  return Status::OK();
-}
-
-Status LogManager::PersistLocked() {
-  if (fd_ < 0) return Status::OK();
-  // Append everything durable that is not yet in the file.
-  Lsn tail = trim_base_ + buf_.size();
-  if (file_synced_ < trim_base_) file_synced_ = trim_base_;
-  if (file_synced_ < tail) {
-    const char* src = buf_.data() + (file_synced_ - trim_base_);
-    size_t len = tail - file_synced_;
-    off_t off = 24 + (file_synced_ - trim_base_);
-    size_t done = 0;
-    while (done < len) {
-      ssize_t w = ::pwrite(fd_, src + done, len - done, off + done);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        return Status::IOError(std::string("log pwrite: ") +
-                               std::strerror(errno));
-      }
-      done += static_cast<size_t>(w);
-    }
-    if (::fdatasync(fd_) != 0) {
-      return Status::IOError(std::string("log fdatasync: ") +
-                             std::strerror(errno));
-    }
-    GlobalCounters::Get().log_fsyncs.fetch_add(1, std::memory_order_relaxed);
-    file_synced_ = tail;
-  }
   return Status::OK();
 }
 
@@ -300,7 +210,7 @@ Lsn LogManager::AppendEncoded(LogRecord* rec, const std::string& payload) {
   // the (real-time) sealer and completion threads behind a starved CFS
   // thread — a priority inversion whose cost is a whole scheduling epoch.
   std::optional<ScopedCommitPriorityBoost> boost;
-  if (wal_opts_.pipeline && writer_ != nullptr) boost.emplace();
+  if (writer_ != nullptr) boost.emplace();
   MutexLock l(mu_);
   const Lsn lsn = trim_base_ + buf_.size();
   rec->lsn = lsn;
@@ -320,16 +230,19 @@ Lsn LogManager::Append(LogRecord* rec, TxnContext* ctx) {
     begin.prev_lsn = kInvalidLsn;
     std::string bp;
     begin.EncodeTo(&bp);
-    ctx->last_lsn = AppendEncoded(&begin, bp);
-    ctx->begin_lsn = ctx->last_lsn;
+    const Lsn begin_lsn = AppendEncoded(&begin, bp);
+    __atomic_store_n(&ctx->last_lsn, begin_lsn, __ATOMIC_RELAXED);
+    __atomic_store_n(&ctx->begin_lsn, begin_lsn, __ATOMIC_RELAXED);
   }
   rec->txn_id = ctx->txn_id;
   rec->prev_lsn = ctx->last_lsn;
   std::string payload;
   rec->EncodeTo(&payload);
   Lsn lsn = AppendEncoded(rec, payload);
-  ctx->last_lsn = lsn;
-  if (ctx->begin_lsn == kInvalidLsn) ctx->begin_lsn = lsn;
+  __atomic_store_n(&ctx->last_lsn, lsn, __ATOMIC_RELAXED);
+  if (ctx->begin_lsn == kInvalidLsn) {
+    __atomic_store_n(&ctx->begin_lsn, lsn, __ATOMIC_RELAXED);
+  }
   OIR_CRASH_POINT("wal.append.post");
   return lsn;
 }
@@ -360,50 +273,37 @@ Status LogManager::FlushToLocked(Lsn lsn) {
   GlobalCounters::Get().log_flush_calls.fetch_add(1,
                                                   std::memory_order_relaxed);
   OIR_CRASH_POINT("wal.flush.pre");
-  if (lsn < durable_lsn_) {
-    if (group_commit_) AckLocked();
-    return Status::OK();
-  }
-  // Fault injection: the log device is gone — nothing new becomes durable.
-  if (fail_flushes_.load(std::memory_order_relaxed)) {
-    return Status::IOError("fault injection: log flush failed");
-  }
-  if (!group_commit_) {
-    // Synchronous path: flush inline on the calling thread.
-    OIR_CRASH_POINT("wal.flush.sync");
-    durable_lsn_ = trim_base_ + buf_.size();
-    ++durable_adv_seq_;
-    if (master_ckpt_ != kInvalidLsn && master_ckpt_ < durable_lsn_) {
-      durable_master_ckpt_ = master_ckpt_;
-    }
-    // The inline write+fsync is this thread waiting for durability, the
-    // same as the group-commit CV wait below.
-    obs::WaitScope ws(obs::WaitState::kWalCommitWait);
-    return PersistLocked();
-  }
-  // Group commit: publish the target, wake the flusher/sealer, and wait
-  // until the durability boundary covers our record. Under the pipeline the
-  // wake-up comes from a segment *completion* (the sealer never blocks on
-  // the device); under the legacy flusher, from the end of a flush round.
   for (;;) {
     if (lsn < durable_lsn_) {
       AckLocked();
       return Status::OK();
     }
+    // Fault injection: the log device is gone — nothing new becomes durable.
     if (fail_flushes_.load(std::memory_order_relaxed)) {
       return Status::IOError("fault injection: log flush failed");
     }
-    OIR_CRASH_POINT("wal.flush.group_wait");
     const Lsn target = trim_base_ + buf_.size();
+    if (writer_ == nullptr) {
+      // In-memory log: no device to wait for, so this thread seals and
+      // completes the segments itself, up to the current tail.
+      obs::WaitScope ws(obs::WaitState::kWalCommitWait);
+      const uint64_t my_err = flush_err_seq_;
+      while (submitted_lsn_ < target) {
+        OIR_RETURN_IF_ERROR(SealLocked());
+        if (flush_err_seq_ != my_err) return last_flush_error_;
+      }
+      AckLocked();
+      return Status::OK();
+    }
+    // File log: publish the target, wake the sealer, and wait until a
+    // segment completion moves the durability boundary past our record.
+    OIR_CRASH_POINT("wal.flush.group_wait");
     if (requested_lsn_ < target) {
       // Wake the sealer only on an idle→demand transition: while demand
       // is already pending the sealer is either working or deliberately
       // holding the micro-batch window open, and a preempting notify per
-      // commit costs two context switches that buy nothing. The legacy
-      // flusher's "covered" boundary is durable_lsn_ (it has no submit
-      // stage).
-      const Lsn covered = wal_opts_.pipeline ? submitted_lsn_ : durable_lsn_;
-      const bool had_demand = requested_lsn_ > covered;
+      // commit costs two context switches that buy nothing.
+      const bool had_demand = requested_lsn_ > submitted_lsn_;
       requested_lsn_ = target;
       if (!had_demand) flush_cv_.NotifyOne();
     }
@@ -411,33 +311,30 @@ Status LogManager::FlushToLocked(Lsn lsn) {
     {
       obs::WaitScope ws(obs::WaitState::kWalCommitWait);
       while (
-          !(lsn < durable_lsn_ || flush_err_seq_ != my_err || stop_flusher_)) {
+          !(lsn < durable_lsn_ || flush_err_seq_ != my_err || stop_sealer_)) {
         flushed_cv_.Wait(mu_);
       }
     }
-    if (lsn < durable_lsn_) {
-      AckLocked();
-      return Status::OK();
-    }
+    if (lsn < durable_lsn_) continue;
     if (flush_err_seq_ != my_err) return last_flush_error_;
-    if (stop_flusher_) return Status::IOError("log manager shutting down");
+    if (stop_sealer_) return Status::IOError("log manager shutting down");
   }
 }
 
 Status LogManager::FlushTo(Lsn lsn) {
-  // Pipelined file log: boost this thread for the duration of the wait so
-  // the durable-completion wake-up preempts runnable OLTP threads instead
-  // of queueing behind them (wal_opts_ and writer_ are fixed after Open, so
-  // reading them unlocked here is safe).
+  // File log: boost this thread for the duration of the wait so the
+  // durable-completion wake-up preempts runnable OLTP threads instead of
+  // queueing behind them (writer_ is fixed after Open, so reading it
+  // unlocked here is safe).
   std::optional<ScopedCommitPriorityBoost> boost;
-  if (wal_opts_.pipeline && writer_ != nullptr) boost.emplace();
+  if (writer_ != nullptr) boost.emplace();
   MutexLock lk(mu_);
   return FlushToLocked(lsn);
 }
 
 Status LogManager::FlushAll() {
   std::optional<ScopedCommitPriorityBoost> boost;
-  if (wal_opts_.pipeline && writer_ != nullptr) boost.emplace();
+  if (writer_ != nullptr) boost.emplace();
   MutexLock lk(mu_);
   const Lsn tail = trim_base_ + buf_.size();
   if (tail <= kHeaderSize) return Status::OK();
@@ -445,87 +342,41 @@ Status LogManager::FlushAll() {
   return FlushToLocked(tail - 1);
 }
 
-void LogManager::FlusherLoop() {
-  TryElevateLogThreadPriority();
-  MutexLock lk(mu_);
-  while (!stop_flusher_) {
-    if (requested_lsn_ <= durable_lsn_) {
-      flush_cv_.Wait(mu_);  // wait-state: flusher idle, no demand
-      continue;
-    }
-    // One batched flush round covering every record appended so far: all
-    // current waiters ride on this single write+fsync.
-    const Lsn target = trim_base_ + buf_.size();
-    const Lsn prev_durable = durable_lsn_;
-    static obs::TimerStat* const flush_timer =
-        obs::MetricRegistry::Get().Timer("wal.flush_ns");
-    OIR_CRASH_POINT("wal.flusher.round");
-    Status s;
-    if (fail_flushes_.load(std::memory_order_relaxed)) {
-      // Fault injection: the round fails before anything reaches the
-      // device; durable_lsn_ must not move.
-      s = Status::IOError("fault injection: log flush failed");
-    } else {
-      obs::ScopedTimer scope(flush_timer);
-      s = PersistLocked();
-    }
-    if (s.ok() && fd_ < 0) {
-      // In-memory log: no physical sync, but count the round so the
-      // flush-calls-per-fsync group-size metric stays meaningful.
-      GlobalCounters::Get().log_fsyncs.fetch_add(1,
-                                                 std::memory_order_relaxed);
-    }
-    if (s.ok()) {
-      durable_lsn_ = target;
-      ++durable_adv_seq_;
-      OIR_CRASH_POINT("wal.flusher.durable");
-      OIR_TRACE(obs::TraceEventType::kGroupCommitFlush, target,
-                target - prev_durable);
-      if (master_ckpt_ != kInvalidLsn && master_ckpt_ < durable_lsn_) {
-        durable_master_ckpt_ = master_ckpt_;
-      }
-    } else {
-      last_flush_error_ = s;
-      ++flush_err_seq_;
-      // Drop the pending request so a persistent I/O error doesn't spin the
-      // flusher; the next FlushTo re-raises it (and retries the write).
-      requested_lsn_ = durable_lsn_;
-    }
-    flushed_cv_.NotifyAll();
+Status LogManager::SealLocked() {
+  OIR_CRASH_POINT("wal.pipeline.seal");
+  if (fail_flushes_.load(std::memory_order_relaxed)) {
+    return Status::IOError("fault injection: log flush failed");
   }
-  flushed_cv_.NotifyAll();
-}
-
-void LogManager::BuildSegmentLocked(Lsn begin, Lsn end, uint64_t* offset,
-                                    std::string* data) const {
-  const uint64_t raw_b = FileOffsetLocked(begin);
-  const uint64_t raw_e = FileOffsetLocked(end);
-  if (!writer_ || writer_->sync_mode() != WalSyncMode::kODirect) {
-    *offset = raw_b;
-    data->assign(buf_.data() + (begin - trim_base_), end - begin);
-    return;
+  const Lsn begin = submitted_lsn_;
+  const Lsn end =
+      std::min(trim_base_ + buf_.size(), begin + wal_opts_.segment_bytes);
+  if (end <= begin) return Status::OK();
+  auto& c = GlobalCounters::Get();
+  Segment seg;
+  seg.seq = next_seg_seq_++;
+  seg.begin = begin;
+  seg.end = end;
+  submitted_lsn_ = end;
+  inflight_.push_back(seg);
+  c.wal_segments_sealed.fetch_add(1, std::memory_order_relaxed);
+  c.wal_inflight_bytes.fetch_add(end - begin, std::memory_order_relaxed);
+  OIR_TRACE(obs::TraceEventType::kWalSegSeal, end, end - begin);
+  OIR_CRASH_POINT("wal.pipeline.submit");
+  OIR_TRACE(obs::TraceEventType::kWalSegSubmit, end, end - begin);
+  if (writer_ != nullptr) {
+    // Submit never blocks on the device and never invokes the completion
+    // callback on this thread, so holding mu_ here is safe — and keeps the
+    // seal→submit transition atomic with respect to quiesce.
+    writer_->Submit(seg.seq, FileOffsetLocked(begin),
+                    std::string(buf_.data() + (begin - trim_base_),
+                                end - begin));
+  } else {
+    // In-memory log: durability is simulated, so the segment completes
+    // inline.
+    inflight_.back().done = true;
+    CompleteSegmentsLocked();
   }
-  // O_DIRECT: sector-align the range. Leading bytes are re-materialized
-  // from the file image (24-byte header mirror, then the buffer — file
-  // offset f holds buf_[f - 24 + trim_base_... i.e. buf_[f - 24] relative
-  // to the retained window]); the tail is zero-padded. A zero frame never
-  // parses (Unmask(0) != crc32c of an empty payload), so padding can never
-  // extend the valid prefix past the logical tail.
-  const uint64_t a = raw_b / kWalSectorSize * kWalSectorSize;
-  const uint64_t b =
-      (raw_e + kWalSectorSize - 1) / kWalSectorSize * kWalSectorSize;
-  *offset = a;
-  data->assign(b - a, '\0');
-  const uint64_t hdr_end = std::min<uint64_t>(raw_e, kFileHeaderSize);
-  for (uint64_t f = a; f < hdr_end; ++f) {
-    (*data)[f - a] = file_header_[f];
-  }
-  const uint64_t body_begin = std::max<uint64_t>(a, kFileHeaderSize);
-  if (body_begin < raw_e) {
-    std::memcpy(data->data() + (body_begin - a),
-                buf_.data() + (body_begin - kFileHeaderSize),
-                raw_e - body_begin);
-  }
+  return Status::OK();
 }
 
 void LogManager::OnSegmentComplete(uint64_t seq, Status s) {
@@ -555,7 +406,6 @@ void LogManager::CompleteSegmentsLocked() {
     const bool power_cut = fail_flushes_.load(std::memory_order_relaxed);
     if (seg.status.ok() && !power_cut) {
       durable_lsn_ = seg.end;
-      if (file_synced_ < seg.end) file_synced_ = seg.end;
       ++durable_adv_seq_;
       c.log_fsyncs.fetch_add(1, std::memory_order_relaxed);
       c.wal_segments_completed.fetch_add(1, std::memory_order_relaxed);
@@ -592,7 +442,6 @@ void LogManager::CompleteSegmentsLocked() {
     }
     inflight_.clear();
     submitted_lsn_ = durable_lsn_;
-    padded_end_off_ = 0;
     ++flush_err_seq_;
     requested_lsn_ = durable_lsn_;
   }
@@ -604,11 +453,10 @@ void LogManager::CompleteSegmentsLocked() {
   }
 }
 
-void LogManager::PipelineLoop() {
+void LogManager::SealerLoop() {
   TryElevateLogThreadPriority();
   MutexLock lk(mu_);
-  auto& c = GlobalCounters::Get();
-  while (!stop_flusher_) {
+  while (!stop_sealer_) {
     CompleteSegmentsLocked();
     if (quiescing_) {
       flush_cv_.Wait(mu_);  // wait-state: sealer parked while quiescing
@@ -616,18 +464,15 @@ void LogManager::PipelineLoop() {
     }
     const Lsn tail = trim_base_ + buf_.size();
     const bool demand = requested_lsn_ > submitted_lsn_;
-    const bool size_due =
-        writer_ != nullptr && tail - submitted_lsn_ >= wal_opts_.segment_bytes;
+    const bool size_due = tail - submitted_lsn_ >= wal_opts_.segment_bytes;
     if (!demand && !size_due) {
-      if (writer_ != nullptr && tail > submitted_lsn_) {
+      if (tail > submitted_lsn_) {
         // Unsubmitted bytes nobody is waiting for: give committers a
         // moment to batch, then seal anyway so fire-and-forget appends
-        // reach the device in bounded time. (In-memory logs skip this:
-        // durability there is simulated, and advancing it without a flush
-        // request would change SimulateCrash semantics.)
+        // reach the device in bounded time.
         // wait-state: sealer batching window, not an operation wait
         flush_cv_.WaitFor(mu_, std::chrono::milliseconds(5));
-        if (stop_flusher_ || quiescing_) continue;
+        if (stop_sealer_ || quiescing_) continue;
         if (requested_lsn_ > submitted_lsn_ ||
             trim_base_ + buf_.size() != tail) {
           continue;  // demand or growth arrived; re-evaluate from the top
@@ -644,8 +489,7 @@ void LogManager::PipelineLoop() {
       flush_cv_.Wait(mu_);
       continue;
     }
-    if (demand && !size_due && writer_ != nullptr &&
-        wal_opts_.group_window_us > 0) {
+    if (demand && !size_due && wal_opts_.group_window_us > 0) {
       // Micro-batch window: commits arriving within it join this group,
       // turning k device rounds into one for one window of added ack
       // latency. Deadline-based — waiter notifications land on flush_cv_
@@ -653,7 +497,7 @@ void LogManager::PipelineLoop() {
       const auto deadline =
           std::chrono::steady_clock::now() +
           std::chrono::microseconds(wal_opts_.group_window_us);
-      while (!stop_flusher_ && !quiescing_ &&
+      while (!stop_sealer_ && !quiescing_ &&
              !fail_flushes_.load(std::memory_order_relaxed) &&
              trim_base_ + buf_.size() - submitted_lsn_ <
                  wal_opts_.segment_bytes) {
@@ -662,10 +506,9 @@ void LogManager::PipelineLoop() {
           break;
         }
       }
-      if (stop_flusher_ || quiescing_) continue;
+      if (stop_sealer_ || quiescing_) continue;
     }
-    OIR_CRASH_POINT("wal.pipeline.seal");
-    if (fail_flushes_.load(std::memory_order_relaxed)) {
+    if (!SealLocked().ok()) {
       // The log device is gone. Publish one failed round for any waiter
       // currently blocked, drop the request, and sleep — the flag is
       // cleared before recovery resumes, and the next FlushTo re-raises
@@ -678,54 +521,6 @@ void LogManager::PipelineLoop() {
         flushed_cv_.NotifyAll();
       }
       flush_cv_.Wait(mu_);  // wait-state: log device failed, parked
-      continue;
-    }
-    const Lsn begin = submitted_lsn_;
-    const Lsn end = std::min(trim_base_ + buf_.size(),
-                             begin + wal_opts_.segment_bytes);
-    if (end <= begin) continue;
-    if (writer_ != nullptr &&
-        writer_->sync_mode() == WalSyncMode::kODirect && !inflight_.empty()) {
-      // O_DIRECT hazard: this segment's first sector is the previous
-      // segment's zero-padded last sector. Two in-flight writes to one
-      // sector can land in either order, so wait for the overlapping
-      // predecessor to complete before sealing. Sector-disjoint segments
-      // (the common case for the buffered modes) pipeline fully.
-      const uint64_t first_sector =
-          FileOffsetLocked(begin) / kWalSectorSize * kWalSectorSize;
-      if (first_sector < padded_end_off_) {
-        flush_cv_.Wait(mu_);  // wait-state: sealer O_DIRECT sector hazard
-        continue;
-      }
-    }
-    Segment seg;
-    seg.seq = next_seg_seq_++;
-    seg.begin = begin;
-    seg.end = end;
-    uint64_t offset = 0;
-    std::string data;
-    if (writer_ != nullptr) BuildSegmentLocked(begin, end, &offset, &data);
-    submitted_lsn_ = end;
-    inflight_.push_back(seg);
-    c.wal_segments_sealed.fetch_add(1, std::memory_order_relaxed);
-    c.wal_inflight_bytes.fetch_add(end - begin, std::memory_order_relaxed);
-    OIR_TRACE(obs::TraceEventType::kWalSegSeal, end, end - begin);
-    OIR_CRASH_POINT("wal.pipeline.submit");
-    if (writer_ != nullptr) {
-      padded_end_off_ = offset + data.size();
-      OIR_TRACE(obs::TraceEventType::kWalSegSubmit, end, data.size());
-      // Submit never blocks on the device and never invokes the completion
-      // callback on this thread, so holding mu_ here is safe — and keeps
-      // the seal→submit transition atomic with respect to quiesce.
-      writer_->Submit(seg.seq, offset, std::move(data));
-    } else {
-      // In-memory log: durability is simulated, so the segment completes
-      // inline — still exercising the full seal/submit/complete protocol
-      // (and its crash points) without a writer thread.
-      OIR_TRACE(obs::TraceEventType::kWalSegSubmit, end, end - begin);
-      inflight_.back().done = true;
-      inflight_.back().status = Status::OK();
-      CompleteSegmentsLocked();
     }
   }
   flushed_cv_.NotifyAll();
@@ -735,11 +530,8 @@ void LogManager::QuiescePipeline() {
   {
     MutexLock l(mu_);
     quiescing_ = true;
-    if (!wal_opts_.pipeline || !flusher_.joinable()) {
-      // No sealer running (legacy flusher or a log that never enabled
-      // group commit): nothing can be in flight.
-      return;
-    }
+    // In-memory logs complete every segment inline: nothing is in flight.
+    if (writer_ == nullptr) return;
   }
   // The sealer holds mu_ from its quiescing_ check through Submit, so once
   // the flag is set (we held mu_ above) no new segment can be submitted;
@@ -755,7 +547,6 @@ void LogManager::QuiescePipeline() {
   }
   inflight_.clear();
   submitted_lsn_ = durable_lsn_;
-  padded_end_off_ = 0;
   // quiescing_ stays set; the caller finishes its critical work (truncate,
   // trim) and clears it.
 }
@@ -800,8 +591,6 @@ void LogManager::DiscardPrefix(Lsn lsn) {
                   static_cast<ssize_t>(buf_.size()));
         OIR_CHECK(::ftruncate(fd_, 24 + buf_.size()) == 0);
         OIR_CHECK(::fdatasync(fd_) == 0);
-        file_synced_ = trim_base_ + buf_.size();
-        file_header_ = header;
       }
       if (submitted_lsn_ < trim_base_) submitted_lsn_ = trim_base_;
     }
@@ -891,13 +680,11 @@ void LogManager::SimulateCrash() {
     master_ckpt_ = durable_master_ckpt_;
     if (fd_ >= 0 && durable_lsn_ >= trim_base_) {
       // Cut the file at the durability boundary: written-but-unacked
-      // segment bytes (including O_DIRECT sector padding) must not be
-      // resurrected by a reopen.
+      // segment bytes must not be resurrected by a reopen.
       const off_t len = static_cast<off_t>(FileOffsetLocked(durable_lsn_));
       OIR_CHECK(::ftruncate(fd_, len) == 0);
       OIR_CHECK(::fdatasync(fd_) == 0);
     }
-    if (file_synced_ > durable_lsn_) file_synced_ = durable_lsn_;
     quiescing_ = false;
   }
   flush_cv_.NotifyAll();

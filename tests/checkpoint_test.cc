@@ -72,7 +72,7 @@ TEST(CheckpointTest, ActiveTxnAtCheckpointIsRolledBack) {
   ASSERT_OK(db->Checkpoint());
   ASSERT_OK(db->index()->Insert(loser.get(), NumKey(88), 88));
   ASSERT_OK(db->log_manager()->FlushAll());
-  test::AbandonTxn(std::move(loser));
+  test::AbandonTxn(db.get(), std::move(loser));
 
   RecoveryStats stats;
   ASSERT_OK(db->CrashAndRecover(&stats));
@@ -89,7 +89,7 @@ TEST(CheckpointTest, ActiveTxnWithAllRecordsBeforeCheckpoint) {
   ASSERT_OK(db->Checkpoint());
   test::InsertMany(db.get(), {2});
   ASSERT_OK(db->log_manager()->FlushAll());
-  test::AbandonTxn(std::move(loser));
+  test::AbandonTxn(db.get(), std::move(loser));
 
   RecoveryStats stats;
   ASSERT_OK(db->CrashAndRecover(&stats));

@@ -182,10 +182,18 @@ TEST(CrashSweepTest, ReproducesSingleIterationFromEnvironment) {
 
   for (const char* name :
        {"txn.commit.pre_flush", "rebuild.copy.applied",
-        "btree.split.moved", "wal.pipeline.seal", "wal.pipeline.submit",
-        "wal.pipeline.complete", "ckpt.pages_flushed"}) {
+        "btree.split.moved", "ckpt.pages_flushed"}) {
     CrashIterationResult result;
     EXPECT_OK(fault::RunCrashIteration(opts, name, 0, &result));
+  }
+  // The in-memory log seals inline on the committing thread, so the first
+  // hit of every pipeline step is always reached: a point that never fires
+  // would pass the oracle without testing anything.
+  for (const char* name :
+       {"wal.pipeline.seal", "wal.pipeline.submit", "wal.pipeline.complete"}) {
+    CrashIterationResult result;
+    EXPECT_OK(fault::RunCrashIteration(opts, name, 0, &result));
+    EXPECT_TRUE(result.triggered) << name << " was never reached";
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -174,7 +175,6 @@ TEST(FailFlushesTest, SyncFlushFailsWhileSetAndHeals) {
 
 TEST(FailFlushesTest, GroupCommitFlushPublishesError) {
   LogManager log;
-  log.SetGroupCommit(true);
   TxnContext ctx{1, kInvalidLsn};
   LogRecord a;
   a.type = LogType::kCommitTxn;
@@ -361,6 +361,113 @@ TEST(TransientWriteTest, CheckpointRetriesAfterTransientDiskError) {
 
   // If the failed flush had clean-marked a page without writing it, redo
   // from the checkpoint would lose its pre-checkpoint updates.
+  RecoveryStats stats;
+  ASSERT_OK(db->CrashAndRecover(&stats));
+  test::ExpectTreeContains(db.get(), ids);
+  EXPECT_OK(fault::CheckInvariants(db->tree(), db->space_manager(),
+                                   db->buffer_manager()));
+}
+
+// ------------------------------------------------- data-file sync failure
+
+// Forwards everything to the wrapped disk, but Sync() fails while armed —
+// the writes land, the durability barrier does not.
+class SyncFailingDisk : public Disk {
+ public:
+  explicit SyncFailingDisk(std::unique_ptr<Disk> base)
+      : Disk(base->page_size()), base_(std::move(base)) {}
+
+  void FailSyncs(bool on) { fail_.store(on, std::memory_order_relaxed); }
+  uint64_t failed_syncs() const {
+    return failed_.load(std::memory_order_relaxed);
+  }
+
+  Status ReadMulti(PageId first, uint32_t n, char* buf) override {
+    return base_->ReadMulti(first, n, buf);
+  }
+  Status WriteMulti(PageId first, uint32_t n, const char* buf) override {
+    return base_->WriteMulti(first, n, buf);
+  }
+  Status Sync() override {
+    if (fail_.load(std::memory_order_relaxed)) {
+      failed_.fetch_add(1, std::memory_order_relaxed);
+      return Status::IOError("injected sync failure");
+    }
+    return base_->Sync();
+  }
+  uint32_t NumPages() const override { return base_->NumPages(); }
+  Status Extend(uint32_t new_num_pages) override {
+    return base_->Extend(new_num_pages);
+  }
+
+ private:
+  std::unique_ptr<Disk> base_;
+  std::atomic<bool> fail_{false};
+  std::atomic<uint64_t> failed_{0};
+};
+
+// Page writes are only durable once the disk is synced. A checkpoint whose
+// sync fails must not publish its master record (recovery would start redo
+// after updates that never reached stable storage), and a rebuild
+// transaction whose forced write fails to sync must not free its old pages
+// (Section 3: the new pages are forced before the old ones are reused).
+TEST(DataSyncTest, FailedSyncStopsCheckpointAndRebuildFree) {
+  DbOptions opts;
+  opts.buffer_pool_pages = 1 << 12;
+  SyncFailingDisk* sdisk = nullptr;
+  opts.wrap_disk = [&sdisk](std::unique_ptr<Disk> base) {
+    auto wrapped = std::make_unique<SyncFailingDisk>(std::move(base));
+    sdisk = wrapped.get();
+    return wrapped;
+  };
+  std::unique_ptr<Db> db;
+  ASSERT_OK(Db::Open(opts, &db));
+  ASSERT_NE(sdisk, nullptr);
+
+  // Half-full leaves, so the rebuild has pages to compact and free.
+  std::vector<uint64_t> all, odd;
+  std::set<uint64_t> ids;
+  for (uint64_t i = 0; i < 2000; ++i) {
+    all.push_back(i);
+    if (i % 2 == 1) {
+      odd.push_back(i);
+    } else {
+      ids.insert(i);
+    }
+  }
+  test::InsertMany(db.get(), all);
+  test::DeleteMany(db.get(), odd);
+  ASSERT_OK(db->Checkpoint());
+  const Lsn master = db->log_manager()->master_checkpoint();
+  ASSERT_NE(master, kInvalidLsn);
+
+  // Checkpoint: the pages are written, the sync fails, the master record
+  // stays where it was.
+  test::InsertMany(db.get(), {5001});
+  ids.insert(5001);
+  sdisk->FailSyncs(true);
+  EXPECT_TRUE(db->Checkpoint().IsIOError());
+  EXPECT_EQ(db->log_manager()->master_checkpoint(), master);
+  EXPECT_GT(sdisk->failed_syncs(), 0u);
+
+  // Online rebuild: the first transaction's forced write fails to sync, so
+  // no old page may become free.
+  const std::vector<PageId> before =
+      db->space_manager()->PagesInState(PageState::kAllocated);
+  RebuildOptions ropts;
+  ropts.ntasize = 4;
+  ropts.xactsize = 8;
+  RebuildResult res;
+  EXPECT_TRUE(db->index()->RebuildOnline(ropts, &res).IsIOError());
+  EXPECT_GT(db->space_manager()->CountInState(PageState::kDeallocated), 0u);
+  for (PageId p : before) {
+    EXPECT_NE(db->space_manager()->GetState(p), PageState::kFree)
+        << "page " << p << " freed before its replacement was durable";
+  }
+
+  // The device heals; recovery rolls the half-done rebuild back and loses
+  // nothing that committed.
+  sdisk->FailSyncs(false);
   RecoveryStats stats;
   ASSERT_OK(db->CrashAndRecover(&stats));
   test::ExpectTreeContains(db.get(), ids);

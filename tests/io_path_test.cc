@@ -247,7 +247,6 @@ TEST(RebuildOptionsTest, RejectsIoPagesLargerThanPool) {
 
 TEST(GroupCommitTest, ConcurrentFlushersAllDurable) {
   LogManager log;
-  log.SetGroupCommit(true);  // force the grouped protocol on a memory log
   constexpr int kThreads = 8;
   constexpr int kPer = 200;
   auto before = GlobalCounters::Get().Snapshot();
@@ -283,11 +282,9 @@ TEST(GroupCommitTest, ConcurrentFlushersAllDurable) {
 }
 
 TEST(GroupCommitTest, AcknowledgedCommitsSurviveCrash) {
-  // Full-stack durability: N threads commit inserts with group commit
-  // forced on, the database crashes, and every acknowledged commit must be
-  // present after recovery.
+  // Full-stack durability: N threads commit inserts, the database crashes,
+  // and every acknowledged commit must be present after recovery.
   auto db = test::MakeDb();
-  db->log_manager()->SetGroupCommit(true);
 
   constexpr int kThreads = 4;
   constexpr int kPer = 50;
@@ -326,7 +323,6 @@ TEST(WriteBackTest, FlushAllDrainsThroughWorkerAndHonorsWalOrder) {
   constexpr uint32_t kDiskPages = 64;
   MemDisk disk(kPage, kDiskPages);
   LogManager log;
-  log.SetGroupCommit(true);
   BufferManager bm(&disk, /*pool_frames=*/32, /*shards=*/2);
   bm.SetLogFlusher(&log);
   bm.StartWriteBack();
@@ -431,17 +427,6 @@ TEST(WriteBackTest, DropAllCancelsQueuedWork) {
   ref.Release();
   ASSERT_OK(bm.FlushAll());
   bm.StopWriteBack();
-}
-
-TEST(GroupCommitTest, DisabledFallsBackToSynchronousFlush) {
-  LogManager log;
-  EXPECT_FALSE(log.group_commit());  // memory logs default to synchronous
-  TxnContext ctx{1, kInvalidLsn};
-  LogRecord rec;
-  rec.type = LogType::kCommitTxn;
-  Lsn lsn = log.Append(&rec, &ctx);
-  ASSERT_OK(log.FlushTo(lsn));
-  EXPECT_GT(log.durable_lsn(), lsn);
 }
 
 }  // namespace

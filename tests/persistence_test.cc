@@ -67,7 +67,7 @@ TEST_F(PersistenceTest, UncommittedWorkRolledBackOnReopen) {
     auto loser = db->BeginTxn();
     ASSERT_OK(db->index()->Insert(loser.get(), NumKey(99), 99));
     ASSERT_OK(db->log_manager()->FlushAll());
-    test::AbandonTxn(std::move(loser));  // dies with the process
+    test::AbandonTxn(db.get(), std::move(loser));  // dies with the process
   }
   std::unique_ptr<Db> db;
   RecoveryStats stats;

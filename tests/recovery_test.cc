@@ -41,7 +41,7 @@ TEST(RecoveryTest, UncommittedInsertsRolledBack) {
   // unforced tail would simply vanish, which is also fine but less
   // interesting).
   ASSERT_OK(db->log_manager()->FlushAll());
-  test::AbandonTxn(std::move(txn));  // the "crash" kills it mid-flight
+  test::AbandonTxn(db.get(), std::move(txn));  // the "crash" kills it mid-flight
   RecoveryStats stats;
   ASSERT_OK(db->CrashAndRecover(&stats));
   EXPECT_EQ(stats.loser_txns, 1u);
@@ -58,7 +58,7 @@ TEST(RecoveryTest, UncommittedDeletesRolledBack) {
     ASSERT_OK(db->index()->Delete(txn.get(), NumKey(i), i));
   }
   ASSERT_OK(db->log_manager()->FlushAll());
-  test::AbandonTxn(std::move(txn));
+  test::AbandonTxn(db.get(), std::move(txn));
   RecoveryStats stats;
   ASSERT_OK(db->CrashAndRecover(&stats));
   test::ExpectTreeContains(db.get(),
@@ -138,7 +138,7 @@ TEST(RecoveryTest, UnflushedTailIsLost) {
   // forces the log, so instead make an uncommitted txn with unforced tail.
   auto txn = db->BeginTxn();
   ASSERT_OK(db->index()->Insert(txn.get(), NumKey(99), 99));
-  test::AbandonTxn(std::move(txn));
+  test::AbandonTxn(db.get(), std::move(txn));
   RecoveryStats stats;
   ASSERT_OK(db->CrashAndRecover(&stats));  // tail vanishes: no loser at all
   test::ExpectTreeContains(db.get(), {1, 2, 3});
@@ -201,7 +201,7 @@ TEST_P(CrashPointTest, RecoversToCommittedState) {
                                   900000 + i));
   }
   ASSERT_OK(db->log_manager()->FlushAll());
-  test::AbandonTxn(std::move(loser));
+  test::AbandonTxn(db.get(), std::move(loser));
 
   RecoveryStats stats;
   ASSERT_OK(db->CrashAndRecover(&stats));

@@ -15,17 +15,6 @@
 #include "core/index.h"
 #include "util/random.h"
 
-#if defined(__SANITIZE_ADDRESS__)
-#define OIR_TEST_HAS_LSAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define OIR_TEST_HAS_LSAN 1
-#endif
-#endif
-#ifdef OIR_TEST_HAS_LSAN
-#include <sanitizer/lsan_interface.h>
-#endif
-
 namespace oir::test {
 
 // Gtest-friendly status assertion.
@@ -69,19 +58,12 @@ inline std::unique_ptr<Db> MakeDb(uint32_t page_size = 2048,
   return db;
 }
 
-// Abandons an in-flight transaction the way a crash would: ownership is
-// dropped without commit or abort, so the TransactionManager's active
-// table still lists it when CrashAndRecover runs and recovery sees a
-// loser. The object is leaked on purpose; under the ASan lane it is
-// registered with LeakSanitizer as expected, so only *unintended* leaks
-// fail the suite.
-inline void AbandonTxn(std::unique_ptr<Transaction> txn) {
-  Transaction* crashed = txn.release();
-#ifdef OIR_TEST_HAS_LSAN
-  __lsan_ignore_object(crashed);
-#else
-  (void)crashed;
-#endif
+// Abandons an in-flight transaction the way a crash would: neither
+// committed nor aborted, it stays in the TransactionManager's active table
+// (which owns it from here on) when CrashAndRecover runs, and recovery
+// sees a loser.
+inline void AbandonTxn(Db* db, std::unique_ptr<Transaction> txn) {
+  db->txn_manager()->Abandon(std::move(txn));
 }
 
 // Fixed-width decimal key: sortable, deterministic.
