@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<Db> db;
   Check(Db::Open(opts, &db).ok(), "Db::Open");
 
-  obs::MetricRegistry::SetTimersEnabled(true);
-  obs::TraceBuffer::Get().SetEnabled(true);
+  obs::WaitProfiler::SetEnabled(true);
   obs::TraceBuffer::Get().Clear();
 
   auto txn = db->BeginTxn();
@@ -69,15 +68,19 @@ int main(int argc, char** argv) {
   }
   Check(stats.find("\"keys_moved\"") != std::string::npos,
         "rebuild report spliced into stats");
+  Check(obs::WaitProfiler::SpanStats(obs::Site::kWalCommitAck).count > 0,
+        "wal.commit_ack_ns recorded commit waits");
+  Check(obs::WaitProfiler::SpanStats(obs::Site::kRebuildCopy).count > 0,
+        "rebuild.copy_ns recorded copy phases");
 
   const std::string registry = obs::MetricRegistry::Get().ToJson();
   Check(obs::JsonIsValid(registry), "MetricRegistry::ToJson is valid JSON");
 
   const std::string trace = obs::TraceBuffer::Get().DumpChromeTracing();
   Check(obs::JsonIsValid(trace), "chrome trace is valid JSON");
-  Check(trace.find("top_action") != std::string::npos,
+  Check(trace.find("\"rebuild.top_action\"") != std::string::npos,
         "trace has top-action slices");
-  Check(trace.find("propagate_phase") != std::string::npos,
+  Check(trace.find("\"rebuild.propagate_ns\"") != std::string::npos,
         "trace has propagation-phase slices");
   Check(trace.find("checkpoint") != std::string::npos,
         "trace has the checkpoint event");

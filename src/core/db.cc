@@ -435,7 +435,6 @@ std::string Db::DumpStatsText() {
                 (unsigned long long)r.pages_deallocated,
                 (unsigned long long)r.end_page);
   out += buf;
-  out += "counters: " + r.counters.ToString() + "\n";
   out += obs::MetricRegistry::Get().ToText();
   return out;
 }

@@ -279,7 +279,7 @@ Status OnlineRebuilder::Impl::Run() {
     Status s;
     while (pages_this_txn < opts.xactsize && !done) {
       size_t before = old_pages_txn.size();
-      OIR_TRACE(obs::TraceEventType::kTopActionBegin, result->top_actions, 0);
+      obs::Span top(obs::Site::kRebuildTopAction, result->top_actions);
       {
         // Each top action is one rebuild "operation" in the wait profile;
         // pacing inside the scope attributes the pause as throttled time
@@ -294,8 +294,8 @@ Status OnlineRebuilder::Impl::Run() {
         s = TopAction(op, &path, &done);
       }
       const uint64_t delta = old_pages_txn.size() - before;
-      OIR_TRACE(obs::TraceEventType::kTopActionEnd, result->top_actions,
-                delta);
+      top.set_arg1(delta);
+      top.End();
       if (!s.ok()) break;
       pages_this_txn += static_cast<uint32_t>(delta);
       progress->leaves_rebuilt.fetch_add(delta, std::memory_order_relaxed);
@@ -333,9 +333,9 @@ Status OnlineRebuilder::Impl::Run() {
     }
     // Commit path (Section 3): force the new pages, commit, then free the
     // old pages found by scanning the transaction's log chain.
-    static obs::TimerStat* const flush_timer =
-        obs::MetricRegistry::Get().Timer("rebuild.flush_ns");
     const uint64_t flush0 = NowNanos();
+    obs::Span flush_span(obs::Site::kRebuildFlush, result->transactions, 0,
+                         flush0);
     OIR_CRASH_POINT("rebuild.txn.flush");
     OIR_RETURN_IF_ERROR(bm->FlushPages(flush_pages_txn, opts.io_pages));
     // Durable progress rides AHEAD of the commit record: the group-commit
@@ -358,9 +358,10 @@ Status OnlineRebuilder::Impl::Run() {
     OIR_RETURN_IF_ERROR(tm->Commit(txn.get()));
     OIR_RETURN_IF_ERROR(FreeOldPagesViaLogScan(txn.get()));
     OIR_CRASH_POINT("rebuild.txn.freed");
-    const uint64_t flush_ns = NowNanos() - flush0;
-    progress->flush_us.fetch_add(flush_ns / 1000, std::memory_order_relaxed);
-    if (obs::MetricRegistry::timers_enabled()) flush_timer->Record(flush_ns);
+    const uint64_t flush1 = NowNanos();
+    progress->flush_us.fetch_add((flush1 - flush0) / 1000,
+                                 std::memory_order_relaxed);
+    flush_span.End(flush1);
     ++result->transactions;
     progress->transactions.fetch_add(1, std::memory_order_relaxed);
     if (opts.on_progress) opts.on_progress(progress->Load());
@@ -629,20 +630,17 @@ Status OnlineRebuilder::Impl::LockBatch(OpCtx op, BTree::NtaScope* nta,
 
 Status OnlineRebuilder::Impl::TopAction(OpCtx op, BTree::Path* path,
                                         bool* done) {
-  static obs::TimerStat* const copy_timer =
-      obs::MetricRegistry::Get().Timer("rebuild.copy_ns");
-  static obs::TimerStat* const prop_timer =
-      obs::MetricRegistry::Get().Timer("rebuild.propagate_ns");
   const uint64_t ta = result->top_actions;  // ordinal for trace correlation
-  const uint64_t copy0 = NowNanos();
-  OIR_TRACE(obs::TraceEventType::kCopyPhaseBegin, ta, 0);
   // Copy phase = lock the batch + copy the rows (Section 4.1). Charged as
   // one phase; ends before propagation begins.
+  const uint64_t copy0 = NowNanos();
+  obs::Span copy_span(obs::Site::kRebuildCopy, ta, 0, copy0);
   auto end_copy = [&](uint64_t pages) {
-    const uint64_t ns = NowNanos() - copy0;
-    progress->copy_us.fetch_add(ns / 1000, std::memory_order_relaxed);
-    if (obs::MetricRegistry::timers_enabled()) copy_timer->Record(ns);
-    OIR_TRACE(obs::TraceEventType::kCopyPhaseEnd, ta, pages);
+    const uint64_t copy1 = NowNanos();
+    progress->copy_us.fetch_add((copy1 - copy0) / 1000,
+                                std::memory_order_relaxed);
+    copy_span.set_arg1(pages);
+    copy_span.End(copy1);
   };
 
   std::string skey =
@@ -671,50 +669,50 @@ Status OnlineRebuilder::Impl::TopAction(OpCtx op, BTree::Path* path,
   s = CopyPhase(op, &nta, pp_id, batch, np_id, &leaf_entries, &pp_route_key,
                 &have_pp_route);
   end_copy(batch.size());
-  const bool prop_began = s.ok();
-  const uint64_t prop0 = NowNanos();
-  if (prop_began) OIR_TRACE(obs::TraceEventType::kPropagatePhaseBegin, ta, 0);
-  if (s.ok() && batch_is_root_leaf) {
-    // Height-1 tree: there is no level 1 to propagate into. The new pages
-    // either become the root directly (one page) or get a fresh level-1
-    // root above them.
-    std::vector<std::pair<std::string, PageId>> kids;
-    for (const PropEntry& e : leaf_entries) {
-      if (e.kind != PropEntry::Kind::kDelete) kids.emplace_back(e.sep, e.child);
-    }
-    OIR_CHECK(!kids.empty());
-    if (kids.size() == 1) {
-      s = tree->SetRoot(op, kids[0].second);
-    } else {
-      PageId rid;
-      s = space->Allocate(op.ctx, &rid);
-      if (s.ok()) {
-        PageRef nr;
-        s = tree->FormatNewPage(op, rid, 1, kInvalidPageId, kInvalidPageId,
-                                &nr);
+  if (s.ok()) {
+    const uint64_t prop0 = NowNanos();
+    obs::Span prop_span(obs::Site::kRebuildPropagate, ta, 0, prop0);
+    if (batch_is_root_leaf) {
+      // Height-1 tree: there is no level 1 to propagate into. The new pages
+      // either become the root directly (one page) or get a fresh level-1
+      // root above them.
+      std::vector<std::pair<std::string, PageId>> kids;
+      for (const PropEntry& e : leaf_entries) {
+        if (e.kind == PropEntry::Kind::kDelete) continue;
+        kids.emplace_back(e.sep, e.child);
+      }
+      OIR_CHECK(!kids.empty());
+      if (kids.size() == 1) {
+        s = tree->SetRoot(op, kids[0].second);
+      } else {
+        PageId rid;
+        s = space->Allocate(op.ctx, &rid);
         if (s.ok()) {
-          std::vector<std::string> rows;
-          rows.push_back(node::MakeNonLeafRow(kids[0].second, Slice()));
-          for (size_t i = 1; i < kids.size(); ++i) {
-            rows.push_back(
-                node::MakeNonLeafRow(kids[i].second, Slice(kids[i].first)));
+          PageRef nr;
+          s = tree->FormatNewPage(op, rid, 1, kInvalidPageId, kInvalidPageId,
+                                  &nr);
+          if (s.ok()) {
+            std::vector<std::string> rows;
+            rows.push_back(node::MakeNonLeafRow(kids[0].second, Slice()));
+            for (size_t i = 1; i < kids.size(); ++i) {
+              rows.push_back(
+                  node::MakeNonLeafRow(kids[i].second, Slice(kids[i].first)));
+            }
+            tree->LogBatchInsert(op, &nr, 0, rows, 1);
+            nr.latch().UnlockX();
+            nr.Release();
+            s = tree->SetRoot(op, rid);
           }
-          tree->LogBatchInsert(op, &nr, 0, rows, 1);
-          nr.latch().UnlockX();
-          nr.Release();
-          s = tree->SetRoot(op, rid);
         }
       }
+    } else {
+      s = Propagate(op, &nta, std::move(leaf_entries), 1, pp_route_key,
+                    have_pp_route, path);
     }
-  } else if (s.ok()) {
-    s = Propagate(op, &nta, std::move(leaf_entries), 1, pp_route_key,
-                  have_pp_route, path);
-  }
-  if (prop_began) {
-    const uint64_t ns = NowNanos() - prop0;
-    progress->propagate_us.fetch_add(ns / 1000, std::memory_order_relaxed);
-    if (obs::MetricRegistry::timers_enabled()) prop_timer->Record(ns);
-    OIR_TRACE(obs::TraceEventType::kPropagatePhaseEnd, ta, 0);
+    const uint64_t prop1 = NowNanos();
+    progress->propagate_us.fetch_add((prop1 - prop0) / 1000,
+                                     std::memory_order_relaxed);
+    prop_span.End(prop1);
   }
   if (!s.ok()) {
     Status rb = tree->AbortNta(op, &nta);

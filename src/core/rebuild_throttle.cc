@@ -2,6 +2,8 @@
 
 #include <thread>
 
+#include "util/clock.h"
+
 namespace oir {
 
 namespace {
@@ -131,18 +133,17 @@ uint64_t RebuildThrottle::Pace() {
   }
   if (pause_us_ == 0) return 0;
 
-  auto begin = std::chrono::steady_clock::now();
+  const uint64_t begin = NowNanos();
+  obs::Span wait(obs::Site::kRebuildThrottle, 0, 0, begin);
   {
-    obs::WaitScope ws(obs::WaitState::kThrottled);
     MutexLock l(mu_);
     // wait-state: admission-control pacing pause, attributed above; the CV
     // is never signalled, so this is a bounded timed wait.
     cv_.WaitFor(mu_, std::chrono::microseconds(pause_us_));
   }
-  uint64_t waited_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - begin)
-          .count());
+  const uint64_t end = NowNanos();
+  wait.End(end);
+  const uint64_t waited_us = (end - begin) / 1000;
   ++stats_.pauses;
   stats_.pause_us += waited_us;
   return waited_us;

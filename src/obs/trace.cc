@@ -8,8 +8,6 @@
 
 namespace oir::obs {
 
-std::atomic<bool> TraceBuffer::enabled_{false};
-
 namespace {
 
 // Small dense thread id, assigned on first trace from each thread.
@@ -19,25 +17,23 @@ uint32_t TraceTid() {
   return tid;
 }
 
+bool IsSpan(TraceEventType t) {
+  return t == TraceEventType::kSpanBegin || t == TraceEventType::kSpanEnd;
+}
+
 }  // namespace
 
 const char* TraceEventName(TraceEventType t) {
   switch (t) {
     case TraceEventType::kNone: return "none";
-    case TraceEventType::kTopActionBegin: return "top_action_begin";
-    case TraceEventType::kTopActionEnd: return "top_action_end";
+    case TraceEventType::kSpanBegin: return "span_begin";
+    case TraceEventType::kSpanEnd: return "span_end";
     case TraceEventType::kTopActionTruncate: return "top_action_truncate";
     case TraceEventType::kSmoSplit: return "smo_split";
     case TraceEventType::kSmoShrink: return "smo_shrink";
     case TraceEventType::kCondLockFail: return "cond_lock_fail";
-    case TraceEventType::kLockWaitBegin: return "lock_wait_begin";
-    case TraceEventType::kLockWaitEnd: return "lock_wait_end";
     case TraceEventType::kLockWatchdog: return "lock_watchdog";
     case TraceEventType::kCheckpoint: return "checkpoint";
-    case TraceEventType::kCopyPhaseBegin: return "copy_phase_begin";
-    case TraceEventType::kCopyPhaseEnd: return "copy_phase_end";
-    case TraceEventType::kPropagatePhaseBegin: return "propagate_phase_begin";
-    case TraceEventType::kPropagatePhaseEnd: return "propagate_phase_end";
     case TraceEventType::kFaultInjected: return "fault_injected";
     case TraceEventType::kWalSegSeal: return "wal_seg_seal";
     case TraceEventType::kWalSegSubmit: return "wal_seg_submit";
@@ -51,19 +47,15 @@ TraceBuffer& TraceBuffer::Get() {
   return *instance;
 }
 
-void TraceBuffer::SetEnabled(bool on) {
-  if (on && !allocated_.load(std::memory_order_acquire)) {
-    MutexLock l(init_mu_);
-    if (!allocated_.load(std::memory_order_relaxed)) {
-      auto rings = std::make_unique<Ring[]>(kNumRings);
-      for (size_t i = 0; i < kNumRings; ++i) {
-        rings[i].slots = std::make_unique<Slot[]>(kRingCapacity);
-      }
-      rings_ = std::move(rings);
-      allocated_.store(true, std::memory_order_release);
-    }
+void TraceBuffer::Allocate() {
+  MutexLock l(init_mu_);
+  if (allocated_.load(std::memory_order_relaxed)) return;
+  auto rings = std::make_unique<Ring[]>(kNumRings);
+  for (size_t i = 0; i < kNumRings; ++i) {
+    rings[i].slots = std::make_unique<Slot[]>(kRingCapacity);
   }
-  enabled_.store(on, std::memory_order_relaxed);
+  rings_ = std::move(rings);
+  allocated_.store(true, std::memory_order_release);
 }
 
 void TraceBuffer::Clear() {
@@ -78,15 +70,21 @@ void TraceBuffer::Clear() {
 }
 
 void TraceBuffer::Record(TraceEventType type, uint64_t arg0, uint64_t arg1) {
-  if (!allocated_.load(std::memory_order_acquire)) return;
+  RecordAt(NowNanos(), type, arg0, arg1);
+}
+
+void TraceBuffer::RecordAt(uint64_t ts_ns, TraceEventType type, uint64_t arg0,
+                           uint64_t arg1, Site site) {
+  if (!allocated_.load(std::memory_order_acquire)) Allocate();
   const uint32_t tid = TraceTid();
   Ring& ring = rings_[tid % kNumRings];
   const uint64_t seq = ring.cursor.fetch_add(1, std::memory_order_relaxed);
   Slot& s = ring.slots[seq % kRingCapacity];
-  s.ts_ns.store(NowNanos(), std::memory_order_relaxed);
+  s.ts_ns.store(ts_ns, std::memory_order_relaxed);
   s.arg0.store(arg0, std::memory_order_relaxed);
   s.arg1.store(arg1, std::memory_order_relaxed);
   s.tid.store(tid, std::memory_order_relaxed);
+  s.site.store(static_cast<uint8_t>(site), std::memory_order_relaxed);
   s.type.store(static_cast<uint8_t>(type), std::memory_order_release);
 }
 
@@ -108,6 +106,7 @@ std::vector<TraceRecord> TraceBuffer::Snapshot() const {
       rec.arg0 = s.arg0.load(std::memory_order_relaxed);
       rec.arg1 = s.arg1.load(std::memory_order_relaxed);
       rec.tid = s.tid.load(std::memory_order_relaxed);
+      rec.site = static_cast<Site>(s.site.load(std::memory_order_relaxed));
       out.push_back(rec);
     }
   }
@@ -127,6 +126,7 @@ std::string TraceBuffer::DumpJson() const {
     w.Key("ts_ns").Value(r.ts_ns);
     w.Key("type").Value(TraceEventName(r.type));
     w.Key("tid").Value(static_cast<uint64_t>(r.tid));
+    if (IsSpan(r.type)) w.Key("span").Value(SiteName(r.site));
     w.Key("arg0").Value(r.arg0);
     w.Key("arg1").Value(r.arg1);
     w.EndObject();
@@ -135,54 +135,17 @@ std::string TraceBuffer::DumpJson() const {
   return w.str();
 }
 
-namespace {
-
-// Duration-slice name for begin/end pairs; nullptr for instant events.
-const char* SliceName(TraceEventType t, bool* is_begin) {
-  switch (t) {
-    case TraceEventType::kTopActionBegin:
-      *is_begin = true;
-      return "top_action";
-    case TraceEventType::kTopActionEnd:
-      *is_begin = false;
-      return "top_action";
-    case TraceEventType::kCopyPhaseBegin:
-      *is_begin = true;
-      return "copy_phase";
-    case TraceEventType::kCopyPhaseEnd:
-      *is_begin = false;
-      return "copy_phase";
-    case TraceEventType::kPropagatePhaseBegin:
-      *is_begin = true;
-      return "propagate_phase";
-    case TraceEventType::kPropagatePhaseEnd:
-      *is_begin = false;
-      return "propagate_phase";
-    case TraceEventType::kLockWaitBegin:
-      *is_begin = true;
-      return "lock_wait";
-    case TraceEventType::kLockWaitEnd:
-      *is_begin = false;
-      return "lock_wait";
-    default:
-      return nullptr;
-  }
-}
-
-}  // namespace
-
 std::string TraceBuffer::DumpChromeTracing() const {
   std::vector<TraceRecord> recs = Snapshot();
   JsonWriter w;
   w.BeginObject().Key("traceEvents").BeginArray();
   for (const TraceRecord& r : recs) {
-    bool is_begin = false;
-    const char* slice = SliceName(r.type, &is_begin);
+    const bool span = IsSpan(r.type);
     w.BeginObject();
-    w.Key("name").Value(slice != nullptr ? slice : TraceEventName(r.type));
+    w.Key("name").Value(span ? SiteName(r.site) : TraceEventName(r.type));
     w.Key("cat").Value("oir");
-    if (slice != nullptr) {
-      w.Key("ph").Value(is_begin ? "B" : "E");
+    if (span) {
+      w.Key("ph").Value(r.type == TraceEventType::kSpanBegin ? "B" : "E");
     } else {
       w.Key("ph").Value("i");
       w.Key("s").Value("t");

@@ -4,8 +4,10 @@
 // Lock-free event trace: fixed-size ring buffers with per-thread write
 // cursors (threads are striped over kNumRings rings; claiming a slot is one
 // fetch_add on the ring's cursor, almost always uncontended), binary
-// records with a monotonic timestamp. Compiled in always; when disabled the
-// OIR_TRACE macro is a single relaxed load.
+// records with a monotonic timestamp. Compiled in always. Traced span sites
+// (obs/waitstate.h) write begin/end records; OIR_TRACE writes instant
+// events. Both sit behind WaitProfiler::SetEnabled: when it is off the
+// macro is a single relaxed load.
 //
 // Dumpable as plain JSON (DumpJson) and as a chrome://tracing document
 // (DumpChromeTracing): save the latter to a file and load it at
@@ -17,26 +19,21 @@
 #include <string>
 #include <vector>
 
+#include "obs/waitstate.h"
 #include "sync/mutex.h"
 
 namespace oir::obs {
 
 enum class TraceEventType : uint8_t {
   kNone = 0,
-  kTopActionBegin,      // arg0 = top-action ordinal, arg1 = 0
-  kTopActionEnd,        // arg0 = top-action ordinal, arg1 = leaves in batch
+  kSpanBegin,           // site = obs::Site;       args = the span's arg0/arg1
+  kSpanEnd,             // site = obs::Site;       args = the span's arg0/arg1
   kTopActionTruncate,   // arg0 = busy page,          arg1 = batch size so far
   kSmoSplit,            // arg0 = old page,           arg1 = new page
   kSmoShrink,           // arg0 = freed page,         arg1 = 0
   kCondLockFail,        // arg0 = lock key id,        arg1 = requester txn
-  kLockWaitBegin,       // arg0 = lock key id,        arg1 = requester txn
-  kLockWaitEnd,         // arg0 = lock key id,        arg1 = requester txn
   kLockWatchdog,        // arg0 = lock key id,        arg1 = holder txn
   kCheckpoint,          // arg0 = checkpoint lsn,     arg1 = 0
-  kCopyPhaseBegin,      // arg0 = top-action ordinal, arg1 = 0
-  kCopyPhaseEnd,        // arg0 = top-action ordinal, arg1 = keys copied
-  kPropagatePhaseBegin, // arg0 = top-action ordinal, arg1 = 0
-  kPropagatePhaseEnd,   // arg0 = top-action ordinal, arg1 = 0
   kFaultInjected,       // arg0 = first page affected, arg1 = FaultKind
   kWalSegSeal,          // arg0 = segment end lsn,    arg1 = segment bytes
   kWalSegSubmit,        // arg0 = segment end lsn,    arg1 = submitted bytes
@@ -51,6 +48,7 @@ struct TraceRecord {
   uint64_t arg1 = 0;
   uint32_t tid = 0;
   TraceEventType type = TraceEventType::kNone;
+  Site site = Site::kNumSites;  // span records only
 };
 
 class TraceBuffer {
@@ -60,14 +58,14 @@ class TraceBuffer {
 
   static TraceBuffer& Get();
 
-  static bool enabled() {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  // Enabling allocates the rings on first use (~2 MiB) and keeps them.
-  void SetEnabled(bool on);
   void Clear();
 
+  // The first record allocates the rings (~2 MiB), which are kept.
   void Record(TraceEventType type, uint64_t arg0, uint64_t arg1);
+  // Same, stamped with a clock reading the caller already took; span
+  // begin/end records name their site.
+  void RecordAt(uint64_t ts_ns, TraceEventType type, uint64_t arg0,
+                uint64_t arg1, Site site = Site::kNumSites);
 
   // Merged, timestamp-sorted view of everything currently buffered. Each
   // ring keeps its most recent kRingCapacity records; a slot being
@@ -75,14 +73,16 @@ class TraceBuffer {
   // ring (fields are individually atomic — never torn words).
   std::vector<TraceRecord> Snapshot() const;
 
-  // {"events":[{"ts_ns":..,"type":"..","tid":..,"arg0":..,"arg1":..},...]}
+  // {"events":[{"ts_ns":..,"type":"..","tid":..,"arg0":..,"arg1":..},...]};
+  // span records also carry "span":<site name>.
   std::string DumpJson() const;
-  // chrome://tracing "traceEvents" document: begin/end event pairs become
-  // duration ("B"/"E") slices, everything else instant ("i") events.
+  // chrome://tracing "traceEvents" document: span begin/end records become
+  // duration ("B"/"E") slices named after their site, everything else
+  // instant ("i") events.
   std::string DumpChromeTracing() const;
 
  private:
-  // Each logical record is 5 relaxed atomic words so concurrent
+  // Each logical record is 6 relaxed atomic words so concurrent
   // overwrite-during-dump is benign under TSan.
   struct Slot {
     std::atomic<uint64_t> ts_ns{0};
@@ -90,6 +90,7 @@ class TraceBuffer {
     std::atomic<uint64_t> arg1{0};
     std::atomic<uint32_t> tid{0};
     std::atomic<uint8_t> type{0};
+    std::atomic<uint8_t> site{0};
   };
   struct alignas(64) Ring {
     std::atomic<uint64_t> cursor{0};  // total records ever written
@@ -97,8 +98,7 @@ class TraceBuffer {
   };
 
   TraceBuffer() = default;
-
-  static std::atomic<bool> enabled_;
+  void Allocate();
 
   mutable Mutex init_mu_;
   std::atomic<bool> allocated_{false};
@@ -111,10 +111,11 @@ class TraceBuffer {
 
 }  // namespace oir::obs
 
-// Record an event iff tracing is enabled; one relaxed load otherwise.
+// Record an instant event iff instrumentation is enabled; one relaxed load
+// otherwise.
 #define OIR_TRACE(type, arg0, arg1)                                   \
   do {                                                                \
-    if (::oir::obs::TraceBuffer::enabled()) {                         \
+    if (::oir::obs::WaitProfiler::enabled()) {                        \
       ::oir::obs::TraceBuffer::Get().Record((type), (arg0), (arg1));  \
     }                                                                 \
   } while (0)

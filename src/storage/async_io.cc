@@ -15,9 +15,7 @@
 #include <cstring>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/waitstate.h"
-#include "util/clock.h"
 
 namespace oir {
 
@@ -158,7 +156,7 @@ void PwriteLogWriter::Submit(uint64_t seq, uint64_t offset, std::string data) {
 
 void PwriteLogWriter::Drain() {
   MutexLock l(mu_);
-  obs::WaitScope ws(obs::WaitState::kIoWait);
+  obs::Span wait(obs::Site::kWalDrain);
   while (outstanding_ != 0) cv_.Wait(mu_);
 }
 
@@ -174,16 +172,12 @@ void PwriteLogWriter::WorkerLoop() {
     mu_.Unlock();
     PreallocateAhead(fd_, req.offset + req.data.size(), &allocated_);
     // Write+sync span: the device's share of commit latency.
-    static obs::TimerStat* const io_timer =
-        obs::MetricRegistry::Get().Timer("wal.segment_io_ns");
-    const uint64_t io_start = NowNanos();
+    obs::Span io(obs::Site::kWalSegmentIo);
     Status s = PwriteAll(fd_, req.data.data(), req.data.size(), req.offset);
     if (s.ok() && ::fdatasync(fd_) != 0) {
       s = Status::IOError(std::string("wal sync: ") + std::strerror(errno));
     }
-    if (obs::MetricRegistry::timers_enabled()) {
-      io_timer->Record(NowNanos() - io_start);
-    }
+    io.End();
     // No locks held across the callback (the contract the WAL's
     // completion path relies on).
     cb_(req.seq, s);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "obs/metrics.h"
 #include "obs/waitstate.h"
 #include "testing/crash_point.h"
 #include "util/counters.h"
@@ -201,7 +200,7 @@ Status BufferManager::WriteBack(size_t frame) {
   GlobalCounters::Get().pool_writebacks.fetch_add(1,
                                                   std::memory_order_relaxed);
   {
-    obs::WaitScope ws(obs::WaitState::kIoWait);
+    obs::Span io(obs::Site::kPoolWrite);
     OIR_RETURN_IF_ERROR(disk_->WritePage(f.page_id, img.get()));
   }
   OIR_CRASH_POINT("pool.writeback.post");
@@ -210,9 +209,7 @@ Status BufferManager::WriteBack(size_t frame) {
 
 Status BufferManager::Fetch(PageId id, PageRef* out) {
   OIR_CHECK(id != kInvalidPageId);
-  static obs::TimerStat* const timer =
-      obs::MetricRegistry::Get().Timer("pool.fetch_ns");
-  obs::ScopedTimer scope(timer);
+  obs::Span span(obs::Site::kPoolFetch);
   auto& c = GlobalCounters::Get();
   Shard& sh = ShardOf(id);
   sh.mu.Lock();
@@ -244,7 +241,7 @@ Status BufferManager::Fetch(PageId id, PageRef* out) {
     sh.mu.Unlock();
     Status s;
     {
-      obs::WaitScope ws(obs::WaitState::kIoWait);
+      obs::Span io(obs::Site::kPoolRead);
       s = disk_->ReadPage(id, frames_[frame].data.get());
     }
     sh.mu.Lock();
@@ -371,7 +368,7 @@ Status BufferManager::WriteBackDirty() {
         GlobalCounters::Get().pool_wb_enqueued.fetch_add(
             ids.size(), std::memory_order_relaxed);
         wb_cv_.NotifyAll();
-        obs::WaitScope ws(obs::WaitState::kIoWait);
+        obs::Span wait(obs::Site::kPoolWait);
         while (batch.remaining != 0) {
           wb_done_cv_.Wait(wb_mu_);
         }
@@ -430,7 +427,7 @@ void BufferManager::CancelWriteBack() {
       wb_queued_ids_.erase(item.id);
     }
   }
-  obs::WaitScope ws(obs::WaitState::kIoWait);
+  obs::Span wait(obs::Site::kPoolWait);
   while (wb_in_progress_ != 0) {
     wb_done_cv_.Wait(wb_mu_);
   }
@@ -571,7 +568,7 @@ Status BufferManager::FlushPages(const std::vector<PageId>& ids,
         run_len, std::memory_order_relaxed);
     Status s;
     {
-      obs::WaitScope ws(obs::WaitState::kIoWait);
+      obs::Span io(obs::Site::kPoolWrite);
       s = disk_->WriteMulti(run_start, run_len, run_buf.get());
     }
     release_run(/*wrote=*/s.ok());
@@ -649,7 +646,7 @@ Status BufferManager::Prefetch(PageId first, uint32_t count) {
       new char[static_cast<size_t>(count) * page_size_]);
   Status rs;
   {
-    obs::WaitScope ws(obs::WaitState::kIoWait);
+    obs::Span io(obs::Site::kPoolRead);
     rs = disk_->ReadPages(first, count, stage.get());
   }
   if (!rs.ok()) return undo(rs);

@@ -232,7 +232,7 @@ class BufferManager {
     ++s.cv_waiters;
     // Shard CV waits are waits on another thread's I/O (frame loading, a
     // flushing claim, pins draining ahead of reuse).
-    obs::WaitScope ws(obs::WaitState::kIoWait);
+    obs::Span wait(obs::Site::kPoolWait);
     s.cv.Wait(s.mu);
     --s.cv_waiters;
   }

@@ -38,7 +38,7 @@ class Latch {
     c.latch_acquires.fetch_add(1, std::memory_order_relaxed);
     if (!mu_.try_lock_shared()) {
       c.latch_waits.fetch_add(1, std::memory_order_relaxed);
-      obs::WaitScope ws(obs::WaitState::kLatchWait);
+      obs::Span wait(obs::Site::kLatchWait);
       mu_.lock_shared();
     }
   }
@@ -50,7 +50,7 @@ class Latch {
     c.latch_acquires.fetch_add(1, std::memory_order_relaxed);
     if (!mu_.try_lock()) {
       c.latch_waits.fetch_add(1, std::memory_order_relaxed);
-      obs::WaitScope ws(obs::WaitState::kLatchWait);
+      obs::Span wait(obs::Site::kLatchWait);
       mu_.lock();
     }
   }

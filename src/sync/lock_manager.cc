@@ -4,7 +4,6 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/waitstate.h"
 #include "util/counters.h"
@@ -76,9 +75,7 @@ void LockManager::WatchdogFire(const Shard& shard, const LockKey& key,
 
 Status LockManager::Lock(TxnId owner, LockKey key, LockMode mode,
                          bool conditional) {
-  static obs::TimerStat* const timer =
-      obs::MetricRegistry::Get().Timer("lock.acquire_ns");
-  obs::ScopedTimer scope(timer);
+  obs::Span acquire(obs::Site::kLockAcquire);
   auto& c = GlobalCounters::Get();
   c.lock_requests.fetch_add(1, std::memory_order_relaxed);
   Shard& shard = ShardFor(key);
@@ -100,8 +97,7 @@ Status LockManager::Lock(TxnId owner, LockKey key, LockMode mode,
       return Status::Busy("lock not available");
     }
     c.lock_waits.fetch_add(1, std::memory_order_relaxed);
-    OIR_TRACE(obs::TraceEventType::kLockWaitBegin, key.id, owner);
-    obs::WaitScope ws(obs::WaitState::kLockWait);
+    obs::Span wait(obs::Site::kLockWait, key.id, owner);
     const auto start = std::chrono::steady_clock::now();
     const auto deadline = start + wait_timeout_;
     const int64_t wd_ms = long_wait_ms_.load(std::memory_order_relaxed);
@@ -113,7 +109,6 @@ Status LockManager::Lock(TxnId owner, LockKey key, LockMode mode,
       if (shard.cv.WaitUntil(shard.mu, wake) == std::cv_status::timeout) {
         const auto now = std::chrono::steady_clock::now();
         if (now >= deadline) {
-          OIR_TRACE(obs::TraceEventType::kLockWaitEnd, key.id, owner);
           Entry& e2 = shard.table[key];
           if (e2.granted.empty()) shard.table.erase(key);
           return Status::Aborted("lock wait timeout (possible deadlock)");
@@ -126,7 +121,6 @@ Status LockManager::Lock(TxnId owner, LockKey key, LockMode mode,
         }
       }
     }
-    OIR_TRACE(obs::TraceEventType::kLockWaitEnd, key.id, owner);
   }
 
   Entry& e3 = shard.table[key];
@@ -143,9 +137,7 @@ Status LockManager::Lock(TxnId owner, LockKey key, LockMode mode,
 
 Status LockManager::LockInstant(TxnId owner, LockKey key, LockMode mode,
                                 bool conditional) {
-  static obs::TimerStat* const timer =
-      obs::MetricRegistry::Get().Timer("lock.acquire_ns");
-  obs::ScopedTimer scope(timer);
+  obs::Span acquire(obs::Site::kLockAcquire);
   auto& c = GlobalCounters::Get();
   c.lock_requests.fetch_add(1, std::memory_order_relaxed);
   Shard& shard = ShardFor(key);
@@ -160,8 +152,7 @@ Status LockManager::LockInstant(TxnId owner, LockKey key, LockMode mode,
     return Status::Busy("lock not available");
   }
   c.lock_waits.fetch_add(1, std::memory_order_relaxed);
-  OIR_TRACE(obs::TraceEventType::kLockWaitBegin, key.id, owner);
-  obs::WaitScope ws(obs::WaitState::kLockWait);
+  obs::Span wait(obs::Site::kLockWait, key.id, owner);
   const auto start = std::chrono::steady_clock::now();
   const auto deadline = start + wait_timeout_;
   const int64_t wd_ms = long_wait_ms_.load(std::memory_order_relaxed);
@@ -170,7 +161,6 @@ Status LockManager::LockInstant(TxnId owner, LockKey key, LockMode mode,
   for (;;) {
     auto it2 = shard.table.find(key);
     if (it2 == shard.table.end() || Grantable(it2->second, owner, mode)) {
-      OIR_TRACE(obs::TraceEventType::kLockWaitEnd, key.id, owner);
       return Status::OK();
     }
     auto wake = deadline;
@@ -178,7 +168,6 @@ Status LockManager::LockInstant(TxnId owner, LockKey key, LockMode mode,
     if (shard.cv.WaitUntil(shard.mu, wake) == std::cv_status::timeout) {
       const auto now = std::chrono::steady_clock::now();
       if (now >= deadline) {
-        OIR_TRACE(obs::TraceEventType::kLockWaitEnd, key.id, owner);
         return Status::Aborted("lock wait timeout (possible deadlock)");
       }
       if (!watchdog_fired && now >= watchdog_at) {

@@ -9,7 +9,6 @@
 #include <cstring>
 #include <optional>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/waitstate.h"
 #include "testing/crash_point.h"
@@ -195,9 +194,7 @@ Status LogManager::PersistMasterLocked() {
 // outside mu_; the critical section is just the buffer append.
 Lsn LogManager::AppendEncoded(LogRecord* rec, const std::string& payload) {
   OIR_CRASH_POINT("wal.append.pre");
-  static obs::TimerStat* const timer =
-      obs::MetricRegistry::Get().Timer("wal.append_ns");
-  obs::ScopedTimer scope(timer);
+  obs::Span span(obs::Site::kWalAppend);
   char frame[8];
   EncodeFixed32(frame, static_cast<uint32_t>(payload.size()));
   EncodeFixed32(frame + 4,
@@ -286,7 +283,7 @@ Status LogManager::FlushToLocked(Lsn lsn) {
     if (writer_ == nullptr) {
       // In-memory log: no device to wait for, so this thread seals and
       // completes the segments itself, up to the current tail.
-      obs::WaitScope ws(obs::WaitState::kWalCommitWait);
+      obs::Span wait(obs::Site::kWalFlushWait);
       const uint64_t my_err = flush_err_seq_;
       while (submitted_lsn_ < target) {
         OIR_RETURN_IF_ERROR(SealLocked());
@@ -309,7 +306,7 @@ Status LogManager::FlushToLocked(Lsn lsn) {
     }
     const uint64_t my_err = flush_err_seq_;
     {
-      obs::WaitScope ws(obs::WaitState::kWalCommitWait);
+      obs::Span wait(obs::Site::kWalFlushWait);
       while (
           !(lsn < durable_lsn_ || flush_err_seq_ != my_err || stop_sealer_)) {
         flushed_cv_.Wait(mu_);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "core/db.h"
@@ -191,6 +192,23 @@ TEST(ConcurrencyTest, OltpDuringOnlineRebuild) {
   RebuildOptions opts;
   opts.ntasize = 16;
   opts.xactsize = 128;
+  // The rebuild's first progress report waits until the foreground has
+  // made progress, so a rebuild that outruns thread start-up cannot end
+  // the window first. The deadline only turns a stall into a failure.
+  bool gated = false;
+  opts.on_progress = [&](const obs::RebuildProgress&) {
+    if (gated) return;
+    gated = true;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (ops.load() <= 100) {
+      if (std::chrono::steady_clock::now() >= deadline) {
+        ADD_FAILURE() << "foreground stalled at " << ops.load() << " ops";
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
   RebuildResult res;
   Status s = db->index()->RebuildOnline(opts, &res);
   rebuild_done.store(true);

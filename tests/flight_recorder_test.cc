@@ -17,7 +17,6 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/waitstate.h"
 #include "sync/lock_manager.h"
@@ -47,11 +46,9 @@ struct RecorderTestEnv {
     ::setenv("OIR_FLIGHT_DIR", ::testing::TempDir().c_str(), 1);
   }
   ~RecorderTestEnv() {
-    obs::MetricRegistry::SetTimersEnabled(false);
-    TraceBuffer::Get().SetEnabled(false);
-    TraceBuffer::Get().Clear();
     WaitProfiler::SetEnabled(false);
     WaitProfiler::Reset();
+    TraceBuffer::Get().Clear();
     fault::CrashPointRegistry::SetEnabled(false);
     fault::CrashPointRegistry::Get().Disarm();
   }
@@ -185,8 +182,9 @@ TEST(FlightRecorderTest, TrippedCrashPointProducesBundle) {
   EXPECT_NE(body.find("crash_point:fr.test.trip"), std::string::npos);
 }
 
-// Fuzz-ish corpus: bundles must stay valid across combinations of enabled
-// subsystems, populated rings and hostile reason strings.
+// Fuzz-ish corpus: bundles must stay valid with the instrumentation switch
+// off and on, populated rings and hostile reason strings. With it on, a
+// wait still in progress shows up in the bundle as an unmatched begin.
 TEST(FlightRecorderTest, BundleCorpusAcrossVariedStates) {
   RecorderTestEnv env;
   auto& fr = FlightRecorder::Get();
@@ -199,27 +197,25 @@ TEST(FlightRecorderTest, BundleCorpusAcrossVariedStates) {
       "",
   };
   int case_no = 0;
-  for (int trace_on = 0; trace_on <= 1; ++trace_on) {
-    for (int prof_on = 0; prof_on <= 1; ++prof_on) {
-      TraceBuffer::Get().SetEnabled(trace_on != 0);
-      if (trace_on) {
-        for (int i = 0; i < 100; ++i) {
-          TraceBuffer::Get().Record(obs::TraceEventType::kSmoSplit, i, i);
-        }
-      }
-      WaitProfiler::SetEnabled(prof_on != 0);
-      if (prof_on) {
-        obs::OpScope op(obs::OpType::kRead);
-      }
-      for (const std::string& reason : reasons) {
-        fr.NoteSnapshot("{\"case\":" + std::to_string(case_no++) + "}");
-        std::string path;
-        ASSERT_TRUE(fr.DumpNow(reason, &path));
-        std::string body = ReadFileOrDie(path);
-        EXPECT_TRUE(JsonIsValid(body))
-            << "trace=" << trace_on << " prof=" << prof_on << " reason=["
-            << reason << "]: " << body.substr(0, 400);
-      }
+  for (int on = 0; on <= 1; ++on) {
+    WaitProfiler::SetEnabled(on != 0);
+    for (int i = 0; i < 100; ++i) {
+      OIR_TRACE(obs::TraceEventType::kSmoSplit, i, i);
+    }
+    {
+      obs::OpScope op(obs::OpType::kRead);
+    }
+    obs::Span open_wait(obs::Site::kLockWait, 7);
+    for (const std::string& reason : reasons) {
+      fr.NoteSnapshot("{\"case\":" + std::to_string(case_no++) + "}");
+      std::string path;
+      ASSERT_TRUE(fr.DumpNow(reason, &path));
+      std::string body = ReadFileOrDie(path);
+      EXPECT_TRUE(JsonIsValid(body))
+          << "on=" << on << " reason=[" << reason << "]: "
+          << body.substr(0, 400);
+      EXPECT_EQ(body.find("\"span\":\"lock.wait_ns\"") != std::string::npos,
+                on != 0);
     }
   }
 }
@@ -227,7 +223,6 @@ TEST(FlightRecorderTest, BundleCorpusAcrossVariedStates) {
 TEST(FlightRecorderTest, DumpRacesConcurrentWriters) {
   RecorderTestEnv env;
   auto& fr = FlightRecorder::Get();
-  TraceBuffer::Get().SetEnabled(true);
   WaitProfiler::SetEnabled(true);
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
@@ -235,10 +230,10 @@ TEST(FlightRecorderTest, DumpRacesConcurrentWriters) {
     writers.emplace_back([&stop, &fr, t] {
       uint64_t n = 0;
       do {
-        TraceBuffer::Get().Record(obs::TraceEventType::kLockWaitBegin, t, n);
+        OIR_TRACE(obs::TraceEventType::kCondLockFail, t, n);
         {
           obs::OpScope op(obs::OpType::kWrite);
-          obs::WaitScope ws(obs::WaitState::kLatchWait);
+          obs::Span ws(obs::Site::kLatchWait);
         }
         if (n % 64 == 0) {
           fr.NoteSnapshot("{\"writer\":" + std::to_string(t) + "}");

@@ -1,11 +1,14 @@
-// Tests for the observability subsystem: JSON writer/validator, metric
-// registry under concurrent writers, trace ring wraparound and disabled-path
-// behaviour, rebuild progress monotonicity racing online writers, the lock
-// watchdog, and the Db stats export surface.
+// Tests for the observability subsystem: JSON writer/validator, span
+// histograms under concurrent writers, the span's record-once and
+// every-sink behaviour behind the one switch, trace ring wraparound and
+// disabled-path behaviour, rebuild progress monotonicity racing online
+// writers, the lock watchdog, and the Db stats export surface.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -16,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
+#include "obs/waitstate.h"
 #include "sync/lock_manager.h"
 #include "tests/test_util.h"
 
@@ -25,20 +29,26 @@ namespace {
 using obs::JsonIsValid;
 using obs::JsonWriter;
 using obs::MetricRegistry;
+using obs::Site;
+using obs::Span;
 using obs::TraceBuffer;
 using obs::TraceEventType;
+using obs::WaitProfiler;
 using test::MakeDb;
 using test::NumKey;
 
-// Restores the global timer/trace enable flags on scope exit, so a failing
-// test can't leak an enabled hot path into the rest of the suite.
+// Turns the instrumentation switch off and clears what it recorded on
+// scope exit, so a failing test can't leak an enabled hot path into the
+// rest of the suite.
 struct ObsFlagGuard {
   ~ObsFlagGuard() {
-    MetricRegistry::SetTimersEnabled(false);
-    TraceBuffer::Get().SetEnabled(false);
+    WaitProfiler::SetEnabled(false);
+    WaitProfiler::Reset();
     TraceBuffer::Get().Clear();
   }
 };
+
+uint64_t SpanCount(Site site) { return WaitProfiler::SpanStats(site).count; }
 
 TEST(JsonWriterTest, ObjectsArraysAndEscaping) {
   JsonWriter w;
@@ -85,116 +95,212 @@ TEST(JsonValidatorTest, AcceptsAndRejects) {
 
 TEST(MetricRegistryTest, SnapshotAndResetUnderConcurrentWriters) {
   ObsFlagGuard guard;
-  MetricRegistry::SetTimersEnabled(true);
+  WaitProfiler::SetEnabled(true);
+  WaitProfiler::Reset();
   auto& reg = MetricRegistry::Get();
-  obs::TimerStat* t = reg.Timer("test.obs.concurrent_ns");
-  t->Reset();
+  const Site site = Site::kWalSegmentIo;  // nothing else records it here
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
-  std::atomic<bool> stop{false};
+  constexpr uint64_t kTotal = uint64_t{kThreads} * kPerThread;
   std::vector<std::thread> writers;
   for (int i = 0; i < kThreads; ++i) {
-    writers.emplace_back([t] {
-      for (int j = 1; j <= kPerThread; ++j) t->Record(j);
+    writers.emplace_back([site] {
+      // Caller-clocked spans record exactly 1..kPerThread ns.
+      for (int j = 1; j <= kPerThread; ++j) {
+        Span span(site, 0, 0, /*start_ns=*/1);
+        span.End(1 + static_cast<uint64_t>(j));
+      }
     });
   }
   // Snapshot concurrently with the writers: counts must be coherent
   // (non-decreasing, never above the final total).
   uint64_t last = 0;
-  while (!stop.load(std::memory_order_relaxed)) {
-    auto snap = reg.TakeSnapshot();
-    for (const auto& ts : snap.timers) {
-      if (ts.name == "test.obs.concurrent_ns") {
+  for (int spins = 0; last < kTotal && spins < 1000000; ++spins) {
+    for (const auto& ts : reg.TakeSnapshot().timers) {
+      if (std::string(ts.name) == obs::SiteName(site)) {
         EXPECT_GE(ts.count, last);
-        EXPECT_LE(ts.count, uint64_t{kThreads} * kPerThread);
+        EXPECT_LE(ts.count, kTotal);
         last = ts.count;
       }
     }
-    if (last == uint64_t{kThreads} * kPerThread) break;
     std::this_thread::yield();
-    static int spins = 0;
-    if (++spins > 1000000) break;
   }
   for (auto& th : writers) th.join();
 
-  Histogram h;
-  t->MergeInto(&h);
-  EXPECT_EQ(h.Count(), uint64_t{kThreads} * kPerThread);
-  EXPECT_EQ(h.Min(), 1u);
-  EXPECT_EQ(h.Max(), uint64_t{kPerThread});
+  const obs::SpanSummary sum = WaitProfiler::SpanStats(site);
+  EXPECT_EQ(sum.count, kTotal);
+  EXPECT_EQ(sum.min, 1u);
+  EXPECT_EQ(sum.max, uint64_t{kPerThread});
 
   EXPECT_TRUE(JsonIsValid(reg.ToJson())) << reg.ToJson();
 
-  t->Reset();
-  Histogram h2;
-  t->MergeInto(&h2);
-  EXPECT_EQ(h2.Count(), 0u);
+  WaitProfiler::Reset();
+  EXPECT_EQ(SpanCount(site), 0u);
 }
 
 TEST(MetricRegistryTest, GlobalCountersAreRegistered) {
-  auto snap = MetricRegistry::Get().TakeSnapshot();
+  // The registry reads GlobalCounters itself, so a flight-record bundle
+  // built without a Db still carries every counter.
+  const std::string doc = MetricRegistry::Get().ToJson();
   size_t fields = 0;
   GlobalCounters::Get().ForEach(
-      [&fields](const char*, std::atomic<uint64_t>&) { ++fields; });
-  EXPECT_EQ(snap.counters.size(), fields);
-  bool found = false;
-  for (const auto& [name, _] : snap.counters) {
-    if (name == "lock_watchdog_fires") found = true;
-  }
-  EXPECT_TRUE(found);
+      [&](const char* name, std::atomic<uint64_t>&) {
+        ++fields;
+        EXPECT_NE(doc.find("\"" + std::string(name) + "\":"),
+                  std::string::npos)
+            << name;
+      });
+  EXPECT_GT(fields, 0u);
+  EXPECT_NE(doc.find("\"lock_watchdog_fires\":"), std::string::npos);
 }
 
 TEST(MetricRegistryTest, DisabledTimersRecordNothing) {
   ObsFlagGuard guard;
-  MetricRegistry::SetTimersEnabled(false);
-  auto& reg = MetricRegistry::Get();
-  obs::TimerStat* t = reg.Timer("test.obs.disabled_ns");
-  t->Reset();
+  WaitProfiler::SetEnabled(false);
+  WaitProfiler::Reset();
   for (int i = 0; i < 1000; ++i) {
-    obs::ScopedTimer scope(t);
+    Span span(Site::kPoolFetch);
   }
-  Histogram h;
-  t->MergeInto(&h);
-  EXPECT_EQ(h.Count(), 0u);
+  EXPECT_EQ(SpanCount(Site::kPoolFetch), 0u);
 }
 
-TEST(MetricRegistryTest, ScopedTimerRecordsOnceAcrossExitPaths) {
+TEST(SpanTest, HotPathSitesTimeOneSectionInSixteen) {
   ObsFlagGuard guard;
-  MetricRegistry::SetTimersEnabled(true);
-  auto& reg = MetricRegistry::Get();
-  obs::TimerStat* t = reg.Timer("test.obs.exit_paths_ns");
-  t->Reset();
+  WaitProfiler::SetEnabled(true);
+  WaitProfiler::Reset();
+  constexpr uint64_t kSpans = 16000;
+  for (uint64_t i = 0; i < kSpans; ++i) {
+    Span span(Site::kPoolFetch);
+  }
+  const uint64_t timed = SpanCount(Site::kPoolFetch);
+  EXPECT_GT(timed, kSpans / 32);
+  EXPECT_LT(timed, kSpans / 8);
+}
+
+TEST(SpanTest, RecordsOnceAcrossExitPaths) {
+  ObsFlagGuard guard;
+  WaitProfiler::SetEnabled(true);
+  WaitProfiler::Reset();
+  const Site site = Site::kWalSegmentIo;
 
   // Exception unwind: the destructor must record exactly once.
   try {
-    obs::ScopedTimer scope(t);
+    Span span(site);
     throw std::runtime_error("boom");
   } catch (const std::runtime_error&) {
   }
-  Histogram h1;
-  t->MergeInto(&h1);
-  EXPECT_EQ(h1.Count(), 1u);
+  EXPECT_EQ(SpanCount(site), 1u);
 
-  // Explicit Stop() (the longjmp-style early-exit hook) is idempotent and
-  // the destructor must not double-record after it.
+  // Explicit End() is idempotent and the destructor must not double-record
+  // after it.
   {
-    obs::ScopedTimer scope(t);
-    scope.Stop();
-    scope.Stop();
+    Span span(site);
+    span.End();
+    span.End();
   }
-  Histogram h2;
-  t->MergeInto(&h2);
-  EXPECT_EQ(h2.Count(), 2u);
+  EXPECT_EQ(SpanCount(site), 2u);
 
-  // Cancel() suppresses the record entirely.
+  // A caller-clocked span records exactly the caller's interval.
   {
-    obs::ScopedTimer scope(t);
-    scope.Cancel();
+    Span span(site, /*arg0=*/0, /*arg1=*/0, /*start_ns=*/1000);
+    span.End(1000 + 1000000000);
   }
-  Histogram h3;
-  t->MergeInto(&h3);
-  EXPECT_EQ(h3.Count(), 2u);
+  EXPECT_EQ(SpanCount(site), 3u);
+  EXPECT_EQ(WaitProfiler::SpanStats(site).max, 1000000000u);
+
+  // An exception through a wait span closes its wait state: the time
+  // after it is RUNNING again.
+  {
+    obs::OpScope op(obs::OpType::kOther);
+    try {
+      Span span(Site::kPoolWait);
+      throw std::runtime_error("boom");
+    } catch (const std::runtime_error&) {
+    }
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  }
+  for (const auto& b : WaitProfiler::TakeSnapshot()) {
+    EXPECT_GT(b.state_ns[0], b.wall_ns / 2);  // kRunning
+  }
+}
+
+// Owner 2 requests owner 1's X lock inside one read op. With `timeout` the
+// request gives up (Aborted); otherwise owner 1 lets go once owner 2 is
+// waiting and the request is granted.
+Status ContendedLockWait(LockManager* lm, LockKey key, bool timeout) {
+  EXPECT_OK(lm->Lock(1, key, LockMode::kX, /*conditional=*/false));
+  auto& waits = GlobalCounters::Get().lock_waits;
+  const uint64_t waits0 = waits.load();
+  Status s;
+  std::thread waiter([&] {
+    obs::OpScope op(obs::OpType::kRead);
+    s = lm->Lock(2, key, LockMode::kX, /*conditional=*/false);
+  });
+  if (!timeout) {
+    while (waits.load() == waits0) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    lm->Unlock(1, key);
+  }
+  waiter.join();
+  if (s.ok()) {
+    lm->Unlock(2, key);
+  } else {
+    lm->Unlock(1, key);
+  }
+  return s;
+}
+
+TEST(SpanTest, ContendedLockWaitFeedsEverySinkOnlyWhenEnabled) {
+  ObsFlagGuard guard;
+  LockManager lm;
+  lm.set_wait_timeout(std::chrono::milliseconds(50));
+  const LockKey key = AddressLockKey(4242);
+  auto trace_records = [&key](TraceEventType type) {
+    int n = 0;
+    for (const auto& r : TraceBuffer::Get().Snapshot()) {
+      // The span carries the lock key and the requester txn (2).
+      if (r.type == type && r.site == Site::kLockWait && r.arg0 == key.id &&
+          r.arg1 == 2) {
+        ++n;
+      }
+    }
+    return n;
+  };
+
+  // Off: neither the granted nor the timed-out wait leaves a trace.
+  WaitProfiler::SetEnabled(false);
+  WaitProfiler::Reset();
+  TraceBuffer::Get().Clear();
+  EXPECT_OK(ContendedLockWait(&lm, key, /*timeout=*/false));
+  EXPECT_TRUE(ContendedLockWait(&lm, key, /*timeout=*/true).IsAborted());
+  EXPECT_TRUE(WaitProfiler::TakeSnapshot().empty());
+  for (const auto& t : WaitProfiler::SpanSnapshot()) {
+    EXPECT_EQ(t.count, 0u) << t.name;
+  }
+  EXPECT_TRUE(TraceBuffer::Get().Snapshot().empty());
+
+  // On: each wait lands in the wait-state clock, the site histogram and
+  // the trace ring as one begin/end pair, whichever way it exits.
+  WaitProfiler::SetEnabled(true);
+  int round = 0;
+  for (bool timeout : {false, true}) {
+    ++round;
+    SCOPED_TRACE(timeout ? "timeout exit" : "granted exit");
+    Status s = ContendedLockWait(&lm, key, timeout);
+    EXPECT_EQ(s.IsAborted(), timeout) << s.ToString();
+    EXPECT_EQ(SpanCount(Site::kLockWait), static_cast<uint64_t>(round));
+    EXPECT_EQ(trace_records(TraceEventType::kSpanBegin), round);
+    EXPECT_EQ(trace_records(TraceEventType::kSpanEnd), round);
+    uint64_t lock_ns = 0;
+    for (const auto& b : WaitProfiler::TakeSnapshot()) {
+      lock_ns += b.state_ns[static_cast<size_t>(obs::WaitState::kLockWait)];
+    }
+    EXPECT_GE(lock_ns, uint64_t{5000000} * round);  // >= 5 ms per wait
+  }
 }
 
 TEST(MetricRegistryTest, GaugesSampledAtSnapshot) {
@@ -220,16 +326,18 @@ TEST(MetricRegistryTest, GaugesSampledAtSnapshot) {
 TEST(TraceTest, DisabledRecordsNothing) {
   ObsFlagGuard guard;
   auto& tb = TraceBuffer::Get();
-  tb.SetEnabled(false);
+  WaitProfiler::SetEnabled(false);
   tb.Clear();
   OIR_TRACE(TraceEventType::kCheckpoint, 1, 2);
+  {
+    Span span(Site::kRebuildCopy, 1);  // a traced site
+  }
   EXPECT_TRUE(tb.Snapshot().empty());
 }
 
 TEST(TraceTest, RecordsAndWrapsAround) {
   ObsFlagGuard guard;
   auto& tb = TraceBuffer::Get();
-  tb.SetEnabled(true);
   tb.Clear();
 
   // One thread writes into one ring; overfill it so it wraps.
@@ -259,7 +367,6 @@ TEST(TraceTest, RecordsAndWrapsAround) {
 TEST(TraceTest, ConcurrentWritersAndDumper) {
   ObsFlagGuard guard;
   auto& tb = TraceBuffer::Get();
-  tb.SetEnabled(true);
   tb.Clear();
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
@@ -269,7 +376,7 @@ TEST(TraceTest, ConcurrentWritersAndDumper) {
       // At least one record even if the dumper finishes before this thread
       // is first scheduled.
       do {
-        tb.Record(TraceEventType::kLockWaitBegin, i, n++);
+        tb.Record(TraceEventType::kCondLockFail, i, n++);
       } while (!stop.load(std::memory_order_relaxed));
     });
   }
@@ -285,7 +392,6 @@ TEST(TraceTest, ConcurrentWritersAndDumper) {
 TEST(TraceTest, WrapAroundWhileReaderRacesEightWriters) {
   ObsFlagGuard guard;
   auto& tb = TraceBuffer::Get();
-  tb.SetEnabled(true);
   tb.Clear();
   // Each writer overfills rings while a reader dumps: wrap-around
   // overwrites must never tear a record or corrupt the JSON.
@@ -315,7 +421,7 @@ TEST(TraceTest, WrapAroundWhileReaderRacesEightWriters) {
 TEST(TraceTest, ChromeTracingHasSlicesForRebuildPhases) {
   ObsFlagGuard guard;
   auto& tb = TraceBuffer::Get();
-  tb.SetEnabled(true);
+  WaitProfiler::SetEnabled(true);
   tb.Clear();
 
   auto db = MakeDb();
@@ -329,9 +435,9 @@ TEST(TraceTest, ChromeTracingHasSlicesForRebuildPhases) {
   std::string doc = tb.DumpChromeTracing();
   EXPECT_TRUE(JsonIsValid(doc)) << doc.substr(0, 400);
   EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(doc.find("top_action"), std::string::npos);
-  EXPECT_NE(doc.find("copy_phase"), std::string::npos);
-  EXPECT_NE(doc.find("propagate_phase"), std::string::npos);
+  EXPECT_NE(doc.find("\"rebuild.top_action\""), std::string::npos);
+  EXPECT_NE(doc.find("\"rebuild.copy_ns\""), std::string::npos);
+  EXPECT_NE(doc.find("\"rebuild.propagate_ns\""), std::string::npos);
   // Duration events come in begin/end pairs.
   EXPECT_NE(doc.find("\"ph\":\"B\""), std::string::npos);
   EXPECT_NE(doc.find("\"ph\":\"E\""), std::string::npos);
@@ -413,7 +519,7 @@ TEST(RebuildProgressTest, MonotonicWhilePolledUnderConcurrentWriters) {
 
 TEST(WatchdogTest, FiresAndNamesPageWaiterAndHolder) {
   ObsFlagGuard guard;
-  TraceBuffer::Get().SetEnabled(true);
+  WaitProfiler::SetEnabled(true);
   TraceBuffer::Get().Clear();
 
   LockManager lm;
@@ -471,7 +577,7 @@ TEST(WatchdogTest, ZeroThresholdDisables) {
 
 TEST(DbStatsTest, DumpStatsJsonIsValidWithAllSections) {
   ObsFlagGuard guard;
-  obs::MetricRegistry::SetTimersEnabled(true);
+  WaitProfiler::SetEnabled(true);
   auto db = MakeDb();
   std::vector<uint64_t> ids;
   for (uint64_t i = 0; i < 1500; ++i) ids.push_back(i);
@@ -488,8 +594,18 @@ TEST(DbStatsTest, DumpStatsJsonIsValidWithAllSections) {
   }
   // The rebuild report made it through the JSON path with real content.
   EXPECT_NE(doc.find("\"keys_moved\""), std::string::npos);
-  // Timers were enabled during the rebuild, so hot-path scopes recorded.
-  EXPECT_NE(doc.find("rebuild.copy_ns"), std::string::npos);
+  // Every span site is listed, recorded or not.
+  for (const char* timer :
+       {"pool.fetch_ns", "wal.append_ns", "wal.segment_io_ns",
+        "wal.commit_ack_ns", "lock.acquire_ns", "btree.traverse_ns",
+        "rebuild.copy_ns", "rebuild.propagate_ns", "rebuild.flush_ns"}) {
+    EXPECT_NE(doc.find("\"" + std::string(timer) + "\":{"),
+              std::string::npos)
+        << timer;
+  }
+  // The switch was on during the rebuild, so its spans recorded.
+  EXPECT_GT(SpanCount(Site::kRebuildCopy), 0u);
+  EXPECT_GT(SpanCount(Site::kBtreeTraverse), 0u);
 
   StatsReport report;
   ASSERT_OK(db->GetStats(&report));
@@ -499,6 +615,19 @@ TEST(DbStatsTest, DumpStatsJsonIsValidWithAllSections) {
   EXPECT_TRUE(JsonIsValid(report.last_rebuild_json));
 
   EXPECT_FALSE(db->DumpStatsText().empty());
+}
+
+TEST(DbStatsTest, DumpStatsTextNamesEachCounterOnce) {
+  auto db = MakeDb();
+  test::InsertMany(db.get(), {1, 2, 3});
+  const std::string text = db->DumpStatsText();
+  GlobalCounters::Get().ForEach(
+      [&text](const char* name, std::atomic<uint64_t>&) {
+        std::istringstream words(text);
+        int seen = 0;
+        for (std::string w; words >> w;) seen += w == name;
+        EXPECT_EQ(seen, 1) << name;
+      });
 }
 
 TEST(DbStatsTest, RecoveryStatsExportedThroughJsonPath) {

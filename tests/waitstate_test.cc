@@ -1,7 +1,8 @@
 // Tests for the wait-state profiler (obs/waitstate.h): disabled-path
-// no-ops, exact single-thread accounting, nested-scope folding, and the
+// no-ops, exact single-thread accounting, nested-span folding, and the
 // headline invariant — per-state components of an operation sum to (at
-// least 95% of) its wall-clock, including under concurrent recorders.
+// least 95% of) its wall-clock, including under concurrent recorders. Each
+// wait is a Span on a site that classifies that wait state.
 
 #include <gtest/gtest.h>
 
@@ -21,8 +22,9 @@ namespace {
 
 using obs::OpScope;
 using obs::OpType;
+using obs::Site;
+using obs::Span;
 using obs::WaitProfiler;
-using obs::WaitScope;
 using obs::WaitState;
 
 // Restores the global enable flag and drains the aggregates on scope exit,
@@ -64,9 +66,10 @@ TEST(WaitStateTest, DisabledScopesRecordNothing) {
   WaitProfiler::Reset();
   for (int i = 0; i < 1000; ++i) {
     OpScope op(OpType::kRead);
-    WaitScope ws(WaitState::kLatchWait);
+    Span ws(Site::kLatchWait);
   }
   EXPECT_TRUE(WaitProfiler::TakeSnapshot().empty());
+  EXPECT_EQ(WaitProfiler::SpanStats(Site::kLatchWait).count, 0u);
 }
 
 TEST(WaitStateTest, SingleOpComponentsSumToWallClock) {
@@ -79,7 +82,7 @@ TEST(WaitStateTest, SingleOpComponentsSumToWallClock) {
   {
     OpScope op(OpType::kRead);
     SpinFor(kRun);
-    WaitScope ws(WaitState::kIoWait);
+    Span ws(Site::kPoolWait);
     std::this_thread::sleep_for(kWait);
   }
 
@@ -113,10 +116,10 @@ TEST(WaitStateTest, NestedWaitFoldsIntoOutermost) {
   constexpr auto kWait = std::chrono::milliseconds(8);
   {
     OpScope op(OpType::kWrite);
-    WaitScope outer(WaitState::kLatchWait);
+    Span outer(Site::kLatchWait);
     // A WAL flush performed while blocked on a latch is still latch wait
     // from the operation's point of view.
-    WaitScope inner(WaitState::kWalCommitWait);
+    Span inner(Site::kWalFlushWait);
     std::this_thread::sleep_for(kWait);
   }
 
@@ -150,7 +153,7 @@ TEST(WaitStateTest, WaitOutsideAnyOpIsDropped) {
   {
     // A background thread blocking with no operation open must not
     // surface in any per-op breakdown.
-    WaitScope ws(WaitState::kIoWait);
+    Span ws(Site::kPoolWait);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   EXPECT_TRUE(WaitProfiler::TakeSnapshot().empty());
@@ -174,7 +177,7 @@ TEST(WaitStateTest, ToJsonIsValidAndNamesStates) {
   WaitProfiler::Reset();
   {
     OpScope op(OpType::kRebuild);
-    WaitScope ws(WaitState::kThrottled);
+    Span ws(Site::kRebuildThrottle);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   std::string doc = WaitProfiler::ToJson();
@@ -197,7 +200,7 @@ TEST(WaitStateTest, ConcurrentRecordersCoverWallClock) {
       for (int i = 0; i < kOpsPerThread; ++i) {
         OpScope op((t + i) % 2 == 0 ? OpType::kRead : OpType::kWrite);
         SpinFor(std::chrono::microseconds(50));
-        WaitScope ws(WaitState::kLockWait);
+        Span ws(Site::kLockWait);
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
     });

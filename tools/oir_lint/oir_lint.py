@@ -21,10 +21,12 @@ Enforced rules, each backed by a stronger mechanism where one exists:
                   worker (data pages) instead.
   wait-scope      Condition-variable waits (.Wait / .WaitFor / .WaitUntil)
                   outside src/sync must be attributed for the wait-state
-                  profiler: either an obs::WaitScope on the same or one of the
-                  10 preceding lines, or a `// wait-state: <why>` comment on
-                  the wait line or at most 2 lines above it marking the wait
-                  as a background/idle wait that is deliberately unattributed.
+                  profiler: either an obs::Span on a wait site (a site whose
+                  OIR_SPAN_SITES entry in src/obs/waitstate.h names a wait
+                  state) on the same or one of the 10 preceding lines, or a
+                  `// wait-state: <why>` comment on the wait line or at most
+                  2 lines above it marking the wait as a background/idle wait
+                  that is deliberately unattributed.
   crash-point     OIR_CRASH_POINT must be a whole, unconditional statement —
                   not folded into an if/else/loop header or hanging off an
                   unbraced conditional, where a refactor can silently skip the
@@ -52,6 +54,7 @@ SLEEP = re.compile(
 )
 SYNC_CALL = re.compile(r"(?:->|\.)\s*Sync\s*\(\s*\)")
 WAIT_CALL = re.compile(r"(?:->|\.)\s*(?:Wait(?:For|Until)?|wait(?:_for|_until)?)\s*\(")
+SPAN_SITE = re.compile(r"X\((k\w+),\s*\"[^\"]*\",\s*(k\w+),")
 COND_TAIL = re.compile(r"^\s*(?:if|else if|while|for)\s*\([^{]*\)\s*$|^\s*else\s*$")
 
 
@@ -90,7 +93,15 @@ def guard_for(header, src_root):
     return "OIR_" + re.sub(r"[./]", "_", str(rel)).upper() + "_"
 
 
-def lint_file(path, src_root, findings):
+def wait_span_pattern(src_root):
+    """Matches a Span opened on a site that classifies a wait state."""
+    table = (src_root / "obs" / "waitstate.h").read_text()
+    sites = [site for site, state in SPAN_SITE.findall(table)
+             if state != "kRunning"]
+    return re.compile(r"\bSpan\b.*\bSite::(?:%s)\b" % "|".join(sites))
+
+
+def lint_file(path, src_root, wait_span, findings):
     raw = path.read_text(encoding="utf-8", errors="replace")
     text = strip_comments_and_strings(raw)
     lines = text.splitlines()
@@ -118,12 +129,13 @@ def lint_file(path, src_root, findings):
                 f"or the write-back worker"
             )
         if not in_sync and WAIT_CALL.search(line):
-            # Attributed: a WaitScope opened on this or one of the 10
+            # Attributed: a wait-site Span opened on this or one of the 10
             # preceding (comment-stripped) lines. Exempt: an explicit
             # `wait-state:` comment on the wait line or <= 2 raw lines
             # above, marking a background/idle wait.
             scoped = any(
-                "WaitScope" in lines[j] for j in range(max(0, idx - 11), idx)
+                wait_span.search(lines[j])
+                for j in range(max(0, idx - 11), idx)
             )
             noted = any(
                 "wait-state:" in raw_lines[j]
@@ -131,9 +143,9 @@ def lint_file(path, src_root, findings):
             )
             if not scoped and not noted:
                 findings.append(
-                    f"{rel}:{idx}: wait-scope: naked CV wait; wrap in "
-                    f"obs::WaitScope (attributed wait) or mark with a "
-                    f"'// wait-state: <why>' comment (background wait)"
+                    f"{rel}:{idx}: wait-scope: naked CV wait; wrap in an "
+                    f"obs::Span on a wait site (attributed wait) or mark "
+                    f"with a '// wait-state: <why>' comment (background wait)"
                 )
         col = line.find("OIR_CRASH_POINT")
         if col >= 0 and "#define" not in line:
@@ -173,6 +185,7 @@ def main():
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[2]
     src_root = root / "src"
     findings = []
+    wait_span = wait_span_pattern(src_root)
 
     status_h = src_root / "util" / "status.h"
     if "class [[nodiscard]] Status" not in status_h.read_text():
@@ -182,7 +195,7 @@ def main():
 
     for path in sorted(src_root.rglob("*")):
         if path.suffix in (".h", ".cc"):
-            lint_file(path, src_root, findings)
+            lint_file(path, src_root, wait_span, findings)
 
     for f in findings:
         print(f)
