@@ -46,32 +46,30 @@ WalOptions WalOptionsFrom(const DbOptions& options) {
   return w;
 }
 
-// Constructs the component stack shared by Open and OpenExisting. A
-// non-empty *ephemeral_wal on return means an in-memory WAL was promoted to
-// a throwaway file (OIR_TEST_WAL=file); the caller owns cleanup.
-Status BuildStack(const DbOptions& options, bool truncate_files, Db* db,
-                  std::unique_ptr<Disk>* disk, std::unique_ptr<LogManager>* log,
-                  std::string* ephemeral_wal) {
-  if (options.use_file_disk) {
-    if (truncate_files) std::remove(options.file_path.c_str());
+}  // namespace
+
+Status Db::BuildStack(bool truncate_files) {
+  if (options_.use_file_disk) {
+    if (truncate_files) std::remove(options_.file_path.c_str());
     std::unique_ptr<FileDisk> fd;
     OIR_RETURN_IF_ERROR(
-        FileDisk::Open(options.file_path, options.page_size, &fd));
-    OIR_RETURN_IF_ERROR(fd->Extend(options.initial_disk_pages));
-    *disk = std::move(fd);
+        FileDisk::Open(options_.file_path, options_.page_size, &fd));
+    OIR_RETURN_IF_ERROR(fd->Extend(options_.initial_disk_pages));
+    disk_ = std::move(fd);
   } else {
-    *disk = std::make_unique<MemDisk>(options.page_size,
-                                      options.initial_disk_pages);
+    disk_ = std::make_unique<MemDisk>(options_.page_size,
+                                      options_.initial_disk_pages);
   }
-  if (options.wrap_disk) {
-    *disk = options.wrap_disk(std::move(*disk));
-    OIR_CHECK(*disk != nullptr);
+  if (options_.wrap_disk) {
+    disk_ = options_.wrap_disk(std::move(disk_));
+    OIR_CHECK(disk_ != nullptr);
   }
-  std::string log_path = options.log_path;
+  std::string log_path = options_.log_path;
   if (log_path.empty()) {
     // CI hook: OIR_TEST_WAL=file runs every test that would use an
     // in-memory WAL against a real file-backed one (unique throwaway
-    // path), exercising the async durable path under the whole suite.
+    // path, removed by the destructor), exercising the async durable path
+    // under the whole suite.
     if (const char* e = std::getenv("OIR_TEST_WAL");
         e != nullptr && std::string(e) == "file") {
       static std::atomic<uint64_t> seq{0};
@@ -79,43 +77,41 @@ Status BuildStack(const DbOptions& options, bool truncate_files, Db* db,
       log_path = std::string(dir != nullptr && *dir ? dir : "/tmp") +
                  "/oir_test_wal_" + std::to_string(::getpid()) + "_" +
                  std::to_string(seq.fetch_add(1)) + ".log";
-      *ephemeral_wal = log_path;
+      ephemeral_wal_path_ = log_path;
       truncate_files = true;
     }
   }
   if (!log_path.empty()) {
-    OIR_RETURN_IF_ERROR(LogManager::Open(log_path, truncate_files, log,
-                                         WalOptionsFrom(options)));
+    OIR_RETURN_IF_ERROR(LogManager::Open(log_path, truncate_files, &log_,
+                                         WalOptionsFrom(options_)));
   } else {
-    *log = std::make_unique<LogManager>(WalOptionsFrom(options));
+    log_ = std::make_unique<LogManager>(WalOptionsFrom(options_));
   }
-  (void)db;
+
+  // Evictions prefer clean frames and hand dirty ones to the write-back
+  // worker, and checkpoints route their dirty set through it, so foreground
+  // traffic never stalls on a data-page flush.
+  bm_ = std::make_unique<BufferManager>(disk_.get(), options_.buffer_pool_pages,
+                                        options_.buffer_pool_shards);
+  bm_->SetLogFlusher(log_.get());
+  bm_->StartWriteBack();
+  locks_ = std::make_unique<LockManager>();
+  space_ = std::make_unique<SpaceManager>(disk_.get(), log_.get(),
+                                          kFirstDataPageId);
+  txn_mgr_ = std::make_unique<TransactionManager>(log_.get(), locks_.get(),
+                                                  bm_.get(), space_.get());
+  tree_ = std::make_unique<BTree>(bm_.get(), log_.get(), locks_.get(),
+                                  space_.get());
+  txn_mgr_->SetUndoHook(tree_.get());
+  index_ = std::make_unique<Index>(tree_.get(), txn_mgr_.get(), bm_.get(),
+                                   log_.get(), locks_.get(), space_.get(),
+                                   &rebuild_journal_);
   return Status::OK();
 }
 
-}  // namespace
-
 Status Db::Open(const DbOptions& options, std::unique_ptr<Db>* out) {
   std::unique_ptr<Db> db(new Db(options));
-  OIR_RETURN_IF_ERROR(
-      BuildStack(options, /*truncate_files=*/true, db.get(), &db->disk_,
-                 &db->log_, &db->ephemeral_wal_path_));
-  db->bm_ = std::make_unique<BufferManager>(db->disk_.get(),
-                                            options.buffer_pool_pages,
-                                            options.buffer_pool_shards);
-  db->bm_->SetLogFlusher(db->log_.get());
-  if (options.async_writeback) db->bm_->StartWriteBack();
-  db->locks_ = std::make_unique<LockManager>();
-  db->space_ = std::make_unique<SpaceManager>(db->disk_.get(), db->log_.get(),
-                                              kFirstDataPageId);
-  db->txn_mgr_ = std::make_unique<TransactionManager>(
-      db->log_.get(), db->locks_.get(), db->bm_.get(), db->space_.get());
-  db->tree_ = std::make_unique<BTree>(db->bm_.get(), db->log_.get(),
-                                      db->locks_.get(), db->space_.get());
-  db->txn_mgr_->SetUndoHook(db->tree_.get());
-  db->index_ = std::make_unique<Index>(
-      db->tree_.get(), db->txn_mgr_.get(), db->bm_.get(), db->log_.get(),
-      db->locks_.get(), db->space_.get(), &db->rebuild_journal_);
+  OIR_RETURN_IF_ERROR(db->BuildStack(/*truncate_files=*/true));
 
   // Bootstrap: create the empty index inside a committed transaction so
   // that recovery can always replay the database from an empty log.
@@ -135,65 +131,53 @@ Status Db::OpenExisting(const DbOptions& options, std::unique_ptr<Db>* out,
         "OpenExisting requires use_file_disk, file_path and log_path");
   }
   std::unique_ptr<Db> db(new Db(options));
-  OIR_RETURN_IF_ERROR(
-      BuildStack(options, /*truncate_files=*/false, db.get(), &db->disk_,
-                 &db->log_, &db->ephemeral_wal_path_));
-  db->bm_ = std::make_unique<BufferManager>(db->disk_.get(),
-                                            options.buffer_pool_pages,
-                                            options.buffer_pool_shards);
-  db->bm_->SetLogFlusher(db->log_.get());
-  if (options.async_writeback) db->bm_->StartWriteBack();
-  db->locks_ = std::make_unique<LockManager>();
-  db->space_ = std::make_unique<SpaceManager>(db->disk_.get(), db->log_.get(),
-                                              kFirstDataPageId);
-  db->txn_mgr_ = std::make_unique<TransactionManager>(
-      db->log_.get(), db->locks_.get(), db->bm_.get(), db->space_.get());
-  db->tree_ = std::make_unique<BTree>(db->bm_.get(), db->log_.get(),
-                                      db->locks_.get(), db->space_.get());
-  db->txn_mgr_->SetUndoHook(db->tree_.get());
-  db->index_ = std::make_unique<Index>(
-      db->tree_.get(), db->txn_mgr_.get(), db->bm_.get(), db->log_.get(),
-      db->locks_.get(), db->space_.get(), &db->rebuild_journal_);
-
-  // Restart recovery over the persisted log and data file.
-  RecoveryStats local;
-  RecoveryStats* st = stats != nullptr ? stats : &local;
-  ApplyContext ctx{db->bm_.get(), db->space_.get(), db->log_.get()};
-  RecoveryManager rm(ctx);
-  OIR_RETURN_IF_ERROR(rm.AnalyzeAndRedo(st));
-  OIR_RETURN_IF_ERROR(db->tree_->Open());
-  OIR_RETURN_IF_ERROR(rm.UndoLosers(db->tree_.get(), st));
-  OIR_RETURN_IF_ERROR(rm.Finish(st));
-  db->txn_mgr_->ResetAfterCrash(rm.max_txn_id() + 1);
-  db->AdoptRebuildResume(rm.rebuild_resume());
-  obs::MetricRegistry::Get().SetReport("recovery", st->ToJson());
+  OIR_RETURN_IF_ERROR(db->BuildStack(/*truncate_files=*/false));
+  OIR_RETURN_IF_ERROR(db->Recover(stats));
   db->StartObservability();
   *out = std::move(db);
   return Status::OK();
 }
 
+Status Db::Recover(RecoveryStats* stats) {
+  RecoveryStats local;
+  RecoveryStats* st = stats != nullptr ? stats : &local;
+  RecoveryManager rm(ApplyContext{bm_.get(), space_.get(), log_.get()});
+  OIR_RETURN_IF_ERROR(rm.AnalyzeAndRedo(st));
+  OIR_RETURN_IF_ERROR(tree_->Open());
+  OIR_RETURN_IF_ERROR(rm.UndoLosers(tree_.get(), st));
+  OIR_RETURN_IF_ERROR(rm.Finish(st));
+  txn_mgr_->ResetAfterCrash(rm.max_txn_id() + 1);
+  // The journal is re-armed with the recovered resume point (or cleared):
+  // a checkpoint taken before the rebuild is resumed must still carry it,
+  // since the log prefix holding the progress records may be truncated.
+  rebuild_journal_.Restore(rm.rebuild_resume());
+  rebuild_resumable_ = rm.rebuild_resume().active;
+  obs::MetricRegistry::Get().SetReport("recovery", st->ToJson());
+  return Status::OK();
+}
+
 Status Db::Checkpoint(Lsn* truncation_horizon) {
   // Fuzzy checkpoint. Order matters:
-  //  1. capture scan_start = current log tail; recovery will rescan
+  //  1. capture scan_start = current log tail, together with the rebuild
+  //     journal's entry (see rebuild_journal.h); recovery will rescan
   //     everything from here, so state changes racing with the snapshot
   //     below are replayed idempotently;
   //  2. snapshot the page states and the active transactions;
   //  3. append the checkpoint record;
   //  4. flush every dirty page (covers all updates before scan_start);
   //  5. force the log and publish the master record.
-  const Lsn scan_start = log_->tail_lsn();
-
+  // A checkpoint taken mid-rebuild embeds the rebuild's latest logged
+  // position so the resume point survives truncation of the log prefix
+  // that held the kRebuildProgress records (inactive when none is pending).
   LogRecord ckpt;
+  Lsn scan_start = kInvalidLsn;
+  rebuild_journal_.Capture(log_.get(), &scan_start, &ckpt.rebuild_progress);
   ckpt.type = LogType::kCheckpoint;
   ckpt.old_page_lsn = scan_start;  // reused field: recovery scan start
   ckpt.ckpt_allocated = space_->PagesInState(PageState::kAllocated);
   ckpt.ckpt_deallocated = space_->PagesInState(PageState::kDeallocated);
   ckpt.ckpt_end_page = space_->end_page();
   ckpt.ckpt_next_txn_id = txn_mgr_->next_txn_id();
-  // A checkpoint taken mid-rebuild embeds the latest durable progress so
-  // the resume point survives truncation of the log prefix that held the
-  // kRebuildProgress records. No rebuild pending => inactive defaults.
-  (void)rebuild_journal_.Latest(&ckpt.rebuild_progress);
   Lsn oldest_begin = kInvalidLsn;
   txn_mgr_->SnapshotActive(&ckpt.ckpt_txns, &oldest_begin);
   Lsn ckpt_lsn = log_->AppendSystem(&ckpt);
@@ -236,46 +220,17 @@ Status Db::CrashAndRecover(RecoveryStats* stats) {
   locks_->Reset();
   tree_->ResetTransient();
 
-  // Restart.
-  RecoveryStats local;
-  RecoveryStats* st = stats != nullptr ? stats : &local;
-  ApplyContext ctx{bm_.get(), space_.get(), log_.get()};
-  RecoveryManager rm(ctx);
-  OIR_RETURN_IF_ERROR(rm.AnalyzeAndRedo(st));
-  OIR_RETURN_IF_ERROR(tree_->Open());
-  OIR_RETURN_IF_ERROR(rm.UndoLosers(tree_.get(), st));
-  OIR_RETURN_IF_ERROR(rm.Finish(st));
-  txn_mgr_->ResetAfterCrash(rm.max_txn_id() + 1);
-  AdoptRebuildResume(rm.rebuild_resume());
-  obs::MetricRegistry::Get().SetReport("recovery", st->ToJson());
-  return Status::OK();
+  return Recover(stats);
 }
 
-void Db::AdoptRebuildResume(const RebuildResumeState& resume) {
-  pending_rebuild_ = resume;
-  if (resume.pending) {
-    // Keep the journal armed: a checkpoint taken before the rebuild is
-    // resumed must still carry the resume point (the log prefix holding
-    // the progress records may be truncated afterwards).
-    rebuild_journal_.Publish(resume.progress);
-  } else {
-    rebuild_journal_.Clear();
-  }
-}
-
-Status Db::ResumeRebuild(RebuildOptions options, RebuildResult* result) {
-  if (!pending_rebuild_.pending) {
+Status Db::ResumeRebuild(const RebuildOptions& options,
+                         RebuildResult* result) {
+  if (!has_pending_rebuild()) {
     return Status::InvalidArgument("no pending rebuild to resume");
   }
-  const RebuildProgressInfo& p = pending_rebuild_.progress;
-  options.resume = true;
-  options.resume_cursor_valid = p.has_cursor;
-  options.resume_cursor = p.cursor;
-  options.resume_leaves_rebuilt = p.leaves_rebuilt;
-  options.resume_top_actions = p.top_actions;
-  options.resume_transactions = p.transactions;
-  OIR_RETURN_IF_ERROR(index_->RebuildOnline(options, result));
-  pending_rebuild_ = RebuildResumeState();
+  OIR_RETURN_IF_ERROR(
+      index_->RebuildOnline(options, result, pending_rebuild()));
+  rebuild_resumable_ = false;
   return Status::OK();
 }
 

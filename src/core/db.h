@@ -99,17 +99,21 @@ class Db {
   // ---- resumable rebuild ----
   // True when restart recovery found a rebuild that was in flight at the
   // crash (a durable kRebuildProgress record, or a checkpoint carrying
-  // one, without a matching done record).
-  bool has_pending_rebuild() const { return pending_rebuild_.pending; }
-  const RebuildResumeState& pending_rebuild() const {
-    return pending_rebuild_;
+  // one, without a matching done record) and it has not completed since.
+  // A rebuild that fails without a crash is not resumable before restart.
+  bool has_pending_rebuild() const { return pending_rebuild().active; }
+
+  // The pending rebuild's resume point: the journal's latest logged
+  // position (inactive when nothing is pending).
+  RebuildProgressInfo pending_rebuild() const {
+    return rebuild_resumable_ ? rebuild_journal_.Latest()
+                              : RebuildProgressInfo();
   }
 
-  // Re-runs the crashed rebuild from its last durable cursor. `options`
-  // supplies the knobs (ntasize, throttle, ...); the resume fields are
-  // overwritten from the recovered pending state. InvalidArgument when no
-  // rebuild is pending. On success the pending state is cleared.
-  Status ResumeRebuild(RebuildOptions options, RebuildResult* result);
+  // Re-runs the crashed rebuild from its last logged cursor with `options`
+  // (ntasize, throttle, ...). InvalidArgument when no rebuild is pending.
+  // On success nothing is pending any more.
+  Status ResumeRebuild(const RebuildOptions& options, RebuildResult* result);
 
   // Fills `out` with a stats snapshot spanning the buffer pool, WAL, lock
   // manager, B-tree, space map, global counters and the metric registry.
@@ -142,9 +146,14 @@ class Db {
  private:
   explicit Db(const DbOptions& options);
 
-  // Installs recovery's rebuild resume point: records it for
-  // ResumeRebuild and re-arms (or clears) the checkpoint journal.
-  void AdoptRebuildResume(const RebuildResumeState& resume);
+  // Constructs and wires the component stack shared by Open and
+  // OpenExisting; `truncate_files` starts the data file and log afresh.
+  Status BuildStack(bool truncate_files);
+
+  // Restart recovery over the durable log (OpenExisting, CrashAndRecover):
+  // redo, undo of losers, page/bit cleanup, and adoption of the rebuild
+  // resume point into the journal. `stats` may be null.
+  Status Recover(RecoveryStats* stats);
 
   // Registers the flight-recorder providers (stats / lock table / active
   // transactions) and starts the stats publisher if configured. Called at
@@ -168,10 +177,10 @@ class Db {
   std::unique_ptr<BTree> tree_;
   std::unique_ptr<Index> index_;
 
-  // Progress mailbox between the rebuilder and Checkpoint (see
-  // rebuild_journal.h), plus the resume point recovered after a crash.
+  // The rebuild's latest logged position (see rebuild_journal.h), and
+  // whether recovery armed it for ResumeRebuild.
   RebuildJournal rebuild_journal_;
-  RebuildResumeState pending_rebuild_;
+  bool rebuild_resumable_ = false;
 
   // Flight-recorder registration tokens (0 = not registered).
   uint64_t fr_stats_token_ = 0;

@@ -72,10 +72,11 @@ std::unique_ptr<LockingCursor> Index::NewLockingCursor(Transaction* txn) {
 }
 
 Status Index::RebuildOnline(const RebuildOptions& options,
-                            RebuildResult* result) {
+                            RebuildResult* result,
+                            const RebuildProgressInfo& from) {
   // No table lock, no logical locks — the whole point of the paper.
   OnlineRebuilder rebuilder(tree_, tm_, bm_, log_, locks_, space_, journal_);
-  return rebuilder.Run(options, result);
+  return rebuilder.Run(options, result, from);
 }
 
 Status Index::RebuildOffline(RebuildResult* result) {

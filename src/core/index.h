@@ -60,11 +60,11 @@ class LockingCursor {
 
 class Index {
  public:
-  // `journal` (optional) is handed to the online rebuilder so checkpoints
-  // can embed the latest durable rebuild progress (see rebuild_journal.h).
+  // `journal` is handed to the online rebuilder, which logs its progress
+  // through it (see rebuild_journal.h).
   Index(BTree* tree, TransactionManager* tm, BufferManager* bm,
         LogManager* log, LockManager* locks, SpaceManager* space,
-        RebuildJournal* journal = nullptr);
+        RebuildJournal* journal);
 
   Index(const Index&) = delete;
   Index& operator=(const Index&) = delete;
@@ -82,7 +82,9 @@ class Index {
   std::unique_ptr<LockingCursor> NewLockingCursor(Transaction* txn);
 
   // ---- rebuilds ----
-  Status RebuildOnline(const RebuildOptions& options, RebuildResult* result);
+  // `from`: see OnlineRebuilder::Run.
+  Status RebuildOnline(const RebuildOptions& options, RebuildResult* result,
+                       const RebuildProgressInfo& from = RebuildProgressInfo());
   Status RebuildOffline(RebuildResult* result);
 
   BTree* tree() { return tree_; }

@@ -47,12 +47,6 @@ struct DbOptions {
   // concurrent commits share one device round. 0 seals immediately.
   uint32_t wal_group_window_us = 100;
 
-  // Background write-back worker: evictions prefer clean frames and hand
-  // dirty ones to a dedicated cleaner, and checkpoints route their dirty
-  // set through it, so foreground traffic never stalls on a data-page
-  // flush. false restores fully inline write-back.
-  bool async_writeback = true;
-
   // Back the database with a POSIX file instead of memory.
   bool use_file_disk = false;
   std::string file_path;
@@ -81,7 +75,11 @@ struct DbOptions {
   uint32_t stats_publish_interval_ms = 500;
 };
 
-// Options of the online index rebuild (Section 3).
+// Options of the online index rebuild (Section 3). Resumability has no
+// option: every rebuild logs a kRebuildProgress record (copy cursor plus
+// carried counters) at start, ahead of each transaction's commit record and
+// at completion, and Db::ResumeRebuild continues a crashed rebuild from the
+// last durable one (DESIGN.md §12).
 struct RebuildOptions {
   // Leaf pages rebuilt per multipage rebuild top action. The paper chose 32
   // based on its performance study (Sections 3, 6.4).
@@ -129,27 +127,6 @@ struct RebuildOptions {
   // into the database. Leave empty for no callbacks; other threads can also
   // poll OnlineRebuilder::progress() directly.
   std::function<void(const obs::RebuildProgress&)> on_progress;
-
-  // ---- resumability ----
-  // Append a kRebuildProgress record (copy cursor, carried counters,
-  // new-page high-water mark) after every N committed rebuild
-  // transactions, plus one at start and one at completion. Restart
-  // recovery re-arms a crashed rebuild from the last durable one. 0
-  // disables progress logging (ablation: the pre-resume behavior).
-  uint32_t progress_interval_txns = 1;
-
-  // Resume point of a crashed rebuild (normally filled by
-  // Db::ResumeRebuild from recovery's pending state; settable directly for
-  // tests). With resume=true the copy starts after resume_cursor instead
-  // of at the leftmost leaf; resume_cursor_valid=false resumes from the
-  // beginning but still carries the counters below into the progress
-  // tracker.
-  bool resume = false;
-  bool resume_cursor_valid = false;
-  std::string resume_cursor;
-  uint64_t resume_leaves_rebuilt = 0;
-  uint64_t resume_top_actions = 0;
-  uint64_t resume_transactions = 0;
 
   // ---- admission control ----
   // Pace the rebuild so foreground operations degrade no more than this

@@ -45,22 +45,15 @@ struct OnlineRebuilder::Impl {
   LogManager* log;
   LockManager* locks;
   SpaceManager* space;
-  RebuildJournal* journal = nullptr;
+  RebuildJournal* journal;
   RebuildOptions opts;
   RebuildResult* result;
   obs::RebuildProgressTracker* progress;
 
-  // Rebuild position: largest composite key copied so far.
-  std::string resume_key;
-  bool has_resume = false;
-
-  // Highest new page id produced so far (0 = none yet): the side-file
-  // high-water mark carried in progress records so a resumed run knows the
-  // extent of already-produced pages.
-  PageId new_page_hwm = kInvalidPageId;
-
-  // Committed rebuild transactions since the last progress record.
-  uint32_t txns_since_progress = 0;
+  // Live position: the copy cursor (largest composite key copied so far)
+  // and the cumulative counters, starting from a resumed run's durable
+  // record. Every progress record logs it.
+  RebuildProgressInfo pos;
 
   // Per-transaction page sets. flush_pages_txn holds every keycopy TARGET
   // of the transaction — the new pages plus each top action's PP, which may
@@ -83,12 +76,11 @@ struct OnlineRebuilder::Impl {
   }
 
   Status Run();
-  // Appends (and flushes) a kRebuildProgress record describing the current
-  // durable position, fires the "rebuild.progress.logged" crash point and
-  // mirrors the record into the journal for checkpoint embedding.
-  // Appends a kRebuildProgress record. `in_txn` records ride ahead of
-  // their transaction's commit record (its flush makes them durable);
-  // standalone markers are flushed immediately.
+  // Logs `pos` as a kRebuildProgress record through the journal and fires
+  // the "rebuild.progress.logged" crash point. `in_txn` records ride ahead
+  // of their transaction's commit record (its flush makes them durable);
+  // the standalone begin marker and the done record are flushed
+  // immediately.
   Status LogProgress(bool done_flag, bool in_txn);
   Status TopAction(OpCtx op, BTree::Path* path, bool* done);
   Status LockBatch(OpCtx op, BTree::NtaScope* nta, const Slice& skey,
@@ -122,7 +114,8 @@ OnlineRebuilder::OnlineRebuilder(BTree* tree, TransactionManager* tm,
       journal_(journal) {}
 
 Status OnlineRebuilder::Run(const RebuildOptions& options,
-                            RebuildResult* result) {
+                            RebuildResult* result,
+                            const RebuildProgressInfo& from) {
   if (options.ntasize < 1 || options.xactsize < options.ntasize ||
       options.fillfactor < 50 || options.fillfactor > 100 ||
       options.io_pages < 1) {
@@ -133,8 +126,7 @@ Status OnlineRebuilder::Run(const RebuildOptions& options,
   if (options.io_pages > bm_->pool_frames()) {
     return Status::InvalidArgument("io_pages exceeds the buffer pool size");
   }
-  if (options.resume && options.resume_cursor_valid &&
-      options.resume_cursor.empty()) {
+  if (from.has_cursor && from.cursor.empty()) {
     return Status::InvalidArgument("resume cursor marked valid but empty");
   }
   *result = RebuildResult();
@@ -149,22 +141,21 @@ Status OnlineRebuilder::Run(const RebuildOptions& options,
   impl.opts = options;
   impl.result = result;
   impl.progress = &progress_;
+  impl.pos = from;
 
   progress_.Reset();
   progress_.Begin(space_->CountInState(PageState::kAllocated));
-  if (options.resume) {
+  if (from.active) {
     // Carry the crashed run's counters so pollers see cumulative progress;
     // RebuildResult stays this-run-only.
     progress_.resumed.store(true, std::memory_order_relaxed);
-    progress_.leaves_rebuilt.store(options.resume_leaves_rebuilt,
+    progress_.leaves_rebuilt.store(from.leaves_rebuilt,
                                    std::memory_order_relaxed);
-    progress_.top_actions.store(options.resume_top_actions,
-                                std::memory_order_relaxed);
-    progress_.transactions.store(options.resume_transactions,
+    progress_.top_actions.store(from.top_actions, std::memory_order_relaxed);
+    progress_.transactions.store(from.transactions,
                                  std::memory_order_relaxed);
     result->resumed = true;
-    result->resume_cursor =
-        options.resume_cursor_valid ? options.resume_cursor : std::string();
+    result->resume_cursor = from.has_cursor ? from.cursor : std::string();
   }
 
   // Live-progress gauges for pollers (oir_top): registered only while the
@@ -241,13 +232,6 @@ std::string RebuildResult::ToJson() const {
 }
 
 Status OnlineRebuilder::Impl::Run() {
-  // Resume point of a crashed run (Db::ResumeRebuild / tests): the copy
-  // restarts after the last durable cursor instead of at the leftmost leaf.
-  if (opts.resume && opts.resume_cursor_valid) {
-    resume_key = opts.resume_cursor;
-    has_resume = true;
-  }
-
   // Admission control: paced between top actions; lives for this run only.
   RebuildThrottle throttle(RebuildThrottle::Config{
       opts.max_foreground_degradation_pct, opts.throttle_baseline_ns});
@@ -298,10 +282,10 @@ Status OnlineRebuilder::Impl::Run() {
       top.End();
       if (!s.ok()) break;
       pages_this_txn += static_cast<uint32_t>(delta);
-      progress->leaves_rebuilt.fetch_add(delta, std::memory_order_relaxed);
-      progress->top_actions.store(opts.resume_top_actions +
-                                      result->top_actions,
-                                  std::memory_order_relaxed);
+      pos.leaves_rebuilt += delta;
+      progress->leaves_rebuilt.store(pos.leaves_rebuilt,
+                                     std::memory_order_relaxed);
+      progress->top_actions.store(pos.top_actions, std::memory_order_relaxed);
       if (opts.on_progress) opts.on_progress(progress->Load());
     }
     if (!s.ok()) {
@@ -346,14 +330,8 @@ Status OnlineRebuilder::Impl::Run() {
     // commit record itself is lost: the record's top actions are NTAs in
     // the same durable prefix, and they survive the rollback.) The done
     // record doubles as the "no resume needed" marker for recovery and
-    // clears the checkpoint journal.
-    if (opts.progress_interval_txns > 0) {
-      ++txns_since_progress;
-      if (done || txns_since_progress >= opts.progress_interval_txns) {
-        txns_since_progress = 0;
-        OIR_RETURN_IF_ERROR(LogProgress(/*done_flag=*/done, /*in_txn=*/true));
-      }
-    }
+    // clears the journal.
+    OIR_RETURN_IF_ERROR(LogProgress(/*done_flag=*/done, /*in_txn=*/true));
     OIR_CRASH_POINT("rebuild.txn.commit");
     OIR_RETURN_IF_ERROR(tm->Commit(txn.get()));
     OIR_RETURN_IF_ERROR(FreeOldPagesViaLogScan(txn.get()));
@@ -363,7 +341,8 @@ Status OnlineRebuilder::Impl::Run() {
                                  std::memory_order_relaxed);
     flush_span.End(flush1);
     ++result->transactions;
-    progress->transactions.fetch_add(1, std::memory_order_relaxed);
+    ++pos.transactions;
+    progress->transactions.store(pos.transactions, std::memory_order_relaxed);
     if (opts.on_progress) opts.on_progress(progress->Load());
   }
   RebuildThrottle::Stats ts = throttle.stats();
@@ -373,43 +352,30 @@ Status OnlineRebuilder::Impl::Run() {
 }
 
 Status OnlineRebuilder::Impl::LogProgress(bool done_flag, bool in_txn) {
-  if (opts.progress_interval_txns == 0) return Status::OK();
-  LogRecord rec;
-  rec.type = LogType::kRebuildProgress;
-  RebuildProgressInfo& rp = rec.rebuild_progress;
+  RebuildProgressInfo rp = pos;
   rp.active = !done_flag;
   rp.done = done_flag;
-  rp.has_cursor = has_resume;
-  rp.cursor = resume_key;
-  rp.leaves_rebuilt =
-      progress->leaves_rebuilt.load(std::memory_order_relaxed);
-  rp.top_actions = opts.resume_top_actions + result->top_actions;
   // An in-transaction record rides ahead of its transaction's commit
   // record, so it counts the transaction it rides in: if the record is
   // durable, every preceding top action is durable with it (WAL flushes
   // are prefix-ordered, and top actions are NTAs that survive even their
   // transaction's rollback) — the cursor is valid no matter how the commit
   // itself fares.
-  rp.transactions =
-      opts.resume_transactions + result->transactions + (in_txn ? 1 : 0);
-  rp.new_page_hwm = new_page_hwm;
-  Lsn lsn = log->AppendSystem(&rec);
-  if (!in_txn) {
-    // Standalone marker (begin): nothing downstream is about to flush it,
-    // so force it durable now. In-transaction records skip this — the
-    // group-commit flush that makes the transaction durable covers them.
+  if (in_txn) ++rp.transactions;
+  const Lsn lsn = journal->Append(log, rp);
+  if (!in_txn || done_flag) {
+    // Nothing downstream is sure to flush these two, so force them durable
+    // now. The begin marker stands alone. The done record's transaction
+    // may have logged nothing else (its only top action found the end of
+    // the index), and Commit flushes only a transaction that logged
+    // records; a rebuild must not report success before its done record
+    // is durable. Other in-transaction records ride the group-commit flush
+    // that makes their transaction durable.
     OIR_RETURN_IF_ERROR(log->FlushTo(lsn));
   }
   OIR_CRASH_POINT("rebuild.progress.logged");
   ++result->progress_records;
   progress->progress_records.fetch_add(1, std::memory_order_relaxed);
-  if (journal != nullptr) {
-    if (done_flag) {
-      journal->Clear();
-    } else {
-      journal->Publish(rp);
-    }
-  }
   return Status::OK();
 }
 
@@ -644,7 +610,7 @@ Status OnlineRebuilder::Impl::TopAction(OpCtx op, BTree::Path* path,
   };
 
   std::string skey =
-      has_resume ? resume_key + std::string(1, '\0') : std::string();
+      pos.has_cursor ? pos.cursor + std::string(1, '\0') : std::string();
 
   OIR_CRASH_POINT("rebuild.topaction.begin");
   BTree::NtaScope nta;
@@ -723,6 +689,7 @@ Status OnlineRebuilder::Impl::TopAction(OpCtx op, BTree::Path* path,
   OIR_RETURN_IF_ERROR(tree->EndNta(op, &nta));
   old_pages_txn.insert(old_pages_txn.end(), batch.begin(), batch.end());
   ++result->top_actions;
+  ++pos.top_actions;
   result->old_leaf_pages += batch.size();
   return Status::OK();
 }
@@ -859,9 +826,6 @@ Status OnlineRebuilder::Impl::CopyPhase(OpCtx op, BTree::NtaScope* nta,
   std::vector<PageId> new_ids;
   if (k > 0) {
     OIR_RETURN_IF_ERROR(space->AllocateChunk(op.ctx, k, &new_ids));
-    for (PageId id : new_ids) {
-      if (id > new_page_hwm) new_page_hwm = id;
-    }
   }
   OIR_CRASH_POINT("rebuild.copy.alloc");
   for (uint32_t j = 0; j < k; ++j) {
@@ -1048,14 +1012,14 @@ Status OnlineRebuilder::Impl::CopyPhase(OpCtx op, BTree::NtaScope* nta,
 
   // Advance the rebuild position.
   if (k > 0 && !last_keys.back().empty()) {
-    resume_key = last_keys.back();
-    has_resume = true;
+    pos.cursor = last_keys.back();
+    pos.has_cursor = true;
   } else {
     // Everything fit into PP: the last copied row is the last row overall.
     for (size_t si = sources.size(); si-- > 0;) {
       if (!sources[si].rows.empty()) {
-        resume_key = sources[si].rows.back();
-        has_resume = true;
+        pos.cursor = sources[si].rows.back();
+        pos.has_cursor = true;
         break;
       }
     }

@@ -44,16 +44,19 @@ namespace oir {
 
 class OnlineRebuilder {
  public:
-  // `journal` (optional) receives every durable progress record the rebuild
-  // appends, so a checkpoint taken mid-rebuild can embed the latest one.
+  // The rebuild appends its progress records through `journal`, the one
+  // owner of its resume point (see rebuild_journal.h).
   OnlineRebuilder(BTree* tree, TransactionManager* tm, BufferManager* bm,
                   LogManager* log, LockManager* locks, SpaceManager* space,
-                  RebuildJournal* journal = nullptr);
+                  RebuildJournal* journal);
 
   // Runs a full online rebuild of the index. Concurrent inserts, deletes
   // and scans are allowed throughout; only the pages of the current top
-  // action are restricted.
-  Status Run(const RebuildOptions& options, RebuildResult* result);
+  // action are restricted. An active `from` (a crashed rebuild's durable
+  // resume point, Db::ResumeRebuild) starts the copy after its cursor and
+  // carries its counters; the default starts at the leftmost leaf.
+  Status Run(const RebuildOptions& options, RebuildResult* result,
+             const RebuildProgressInfo& from = RebuildProgressInfo());
 
   // Progress snapshot, pollable from any thread while Run executes (and
   // after: `done` stays set). leaves_total is an allocated-page upper-bound

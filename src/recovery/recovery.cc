@@ -39,7 +39,7 @@ std::string RecoveryStats::ToJson() const {
 Status RecoveryManager::AnalyzeAndRedo(RecoveryStats* stats) {
   ctx_.space->ResetForRecovery();
   losers_.clear();
-  rebuild_resume_ = RebuildResumeState();
+  rebuild_resume_ = RebuildProgressInfo();
 
   // Start from the last durable checkpoint when one exists: its payload
   // seeds the page-state map and the loser table, and the scan begins at
@@ -78,11 +78,7 @@ Status RecoveryManager::AnalyzeAndRedo(RecoveryStats* stats) {
     if (scan_from < ctx_.log->head_lsn()) scan_from = ctx_.log->head_lsn();
     // A checkpoint taken mid-rebuild carries the latest durable progress;
     // later kRebuildProgress records in the scan supersede it.
-    if (ckpt.rebuild_progress.active) {
-      rebuild_resume_.pending = true;
-      rebuild_resume_.progress = ckpt.rebuild_progress;
-      rebuild_resume_.lsn = kInvalidLsn;
-    }
+    if (ckpt.rebuild_progress.active) rebuild_resume_ = ckpt.rebuild_progress;
   }
 
   for (LogManager::Iterator it = ctx_.log->Scan(scan_from);
@@ -100,12 +96,10 @@ Status RecoveryManager::AnalyzeAndRedo(RecoveryStats* stats) {
     if (rec.type == LogType::kRebuildProgress) {
       // A progress record is written only after the work it describes
       // committed, so the newest durable one is always a safe resume
-      // point. done/!active clears the pending state (the rebuild ran to
-      // completion before the crash).
-      rebuild_resume_.pending =
-          rec.rebuild_progress.active && !rec.rebuild_progress.done;
-      rebuild_resume_.progress = rec.rebuild_progress;
-      rebuild_resume_.lsn = rec.lsn;
+      // point. The done record (inactive) clears it: the rebuild ran to
+      // completion before the crash.
+      rebuild_resume_ = rec.rebuild_progress.active ? rec.rebuild_progress
+                                                    : RebuildProgressInfo();
     }
     if (rec.IsPageUpdate() || rec.type == LogType::kAlloc ||
         rec.type == LogType::kDealloc || rec.type == LogType::kFreePage) {

@@ -45,17 +45,6 @@ struct RecoveryStats {
   std::string ToJson() const;
 };
 
-// Resume point of a rebuild that was in flight at the crash, reconstructed
-// by AnalyzeAndRedo from the checkpoint's embedded progress plus every
-// later kRebuildProgress record. `pending` is false when no rebuild was
-// running or the last durable record says it completed.
-struct RebuildResumeState {
-  bool pending = false;
-  RebuildProgressInfo progress;
-  Lsn lsn = kInvalidLsn;  // LSN of the governing progress record
-                          // (kInvalidLsn: seeded from the checkpoint only)
-};
-
 class RecoveryManager {
  public:
   explicit RecoveryManager(ApplyContext ctx) : ctx_(ctx) {}
@@ -70,10 +59,13 @@ class RecoveryManager {
   // Largest transaction id seen in the log (after AnalyzeAndRedo).
   TxnId max_txn_id() const { return max_txn_id_; }
 
-  // Rebuild resume point (after AnalyzeAndRedo). The database facade hands
+  // Resume point of a rebuild that was in flight at the crash (after
+  // AnalyzeAndRedo): the checkpoint's embedded progress superseded by every
+  // later kRebuildProgress record. Inactive when no rebuild was running or
+  // the last durable record says it completed. The database facade hands
   // it to Db::ResumeRebuild so a crashed rebuild restarts from its last
   // durable cursor instead of from zero.
-  const RebuildResumeState& rebuild_resume() const { return rebuild_resume_; }
+  const RebuildProgressInfo& rebuild_resume() const { return rebuild_resume_; }
 
  private:
   // Clears SPLIT/SHRINK/OLDPGOFSPLIT bits on every allocated page.
@@ -82,7 +74,7 @@ class RecoveryManager {
   ApplyContext ctx_;
   std::map<TxnId, Lsn> losers_;
   TxnId max_txn_id_ = 0;
-  RebuildResumeState rebuild_resume_;
+  RebuildProgressInfo rebuild_resume_;
 };
 
 }  // namespace oir

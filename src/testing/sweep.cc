@@ -217,7 +217,6 @@ void RunThreads(const SweepWorkloadOptions& opts, WorkloadRun* run) {
     r.ntasize = opts.rebuild_ntasize;
     r.xactsize = opts.rebuild_xactsize;
     r.io_pages = 2;
-    r.progress_interval_txns = opts.rebuild_progress_interval;
     r.max_foreground_degradation_pct = opts.rebuild_throttle_pct;
     // Error status expected whenever the fault fires mid-rebuild; the
     // rebuild transaction becomes a loser for recovery to clean up, and
@@ -254,7 +253,6 @@ std::string ReproLine(const SweepWorkloadOptions& opts,
   // failing iteration exactly.
   std::ostringstream os;
   os << "repro: OIR_TEST_SEED=" << opts.seed
-     << " OIR_SWEEP_PROGRESS_INTERVAL=" << opts.rebuild_progress_interval
      << " OIR_SWEEP_THROTTLE=" << opts.rebuild_throttle_pct
      << " OIR_CRASH_POINT=" << point << "#" << hit << " ./crash_sweep_test";
   return os.str();
@@ -436,7 +434,6 @@ Status RunCrashIteration(const SweepWorkloadOptions& opts,
                 "completed rebuild left a pending resume state");
   }
   if (result->rebuild_crashed && result->triggered &&
-      opts.rebuild_progress_interval > 0 &&
       run.rebuild_result.transactions > 0 && !db->has_pending_rebuild() &&
       !RebuildDoneIsDurable(db->log_manager())) {
     std::ostringstream why;
@@ -446,14 +443,14 @@ Status RunCrashIteration(const SweepWorkloadOptions& opts,
     return Fail(opts, point, hit, why.str());
   }
   if (db->has_pending_rebuild()) {
-    const RebuildProgressInfo before = db->pending_rebuild().progress;
+    const RebuildProgressInfo before = db->pending_rebuild();
     // Each progress record rides ahead of its transaction's commit record
     // in the WAL, so the flush that committed transaction N also made
     // record N durable: the durable resume point can never trail the
     // committed count. (It may lead it — a record whose own commit died
     // can still reach disk via a concurrent commit's prefix flush, and its
     // NTA-protected copy work survives with it.)
-    if (result->triggered && opts.rebuild_progress_interval == 1 &&
+    if (result->triggered &&
         before.transactions < run.rebuild_result.transactions) {
       std::ostringstream why;
       why << "durable resume point lost work: progress record holds "
@@ -471,7 +468,6 @@ Status RunCrashIteration(const SweepWorkloadOptions& opts,
     r.ntasize = opts.rebuild_ntasize;
     r.xactsize = opts.rebuild_xactsize;
     r.io_pages = 2;
-    r.progress_interval_txns = opts.rebuild_progress_interval;
     r.max_foreground_degradation_pct = opts.rebuild_throttle_pct;
     RebuildResult res;
     s = db->ResumeRebuild(r, &res);

@@ -14,8 +14,8 @@
 // scan of the recovered tree, in addition to CheckInvariants() (oracle.h).
 //
 // Every failure message embeds a one-command reproduction:
-//   OIR_TEST_SEED=<seed> OIR_SWEEP_PROGRESS_INTERVAL=<n> OIR_SWEEP_THROTTLE=<p>
-//   OIR_CRASH_POINT=<name>#<hit> ./crash_sweep_test
+//   OIR_TEST_SEED=<seed> OIR_SWEEP_THROTTLE=<p> OIR_CRASH_POINT=<name>#<hit>
+//   ./crash_sweep_test
 
 #include <cstdint>
 #include <string>
@@ -46,11 +46,6 @@ struct SweepWorkloadOptions {
   // Take one fuzzy checkpoint midway through the writer's run (covers the
   // ckpt.* points and recovery-from-checkpoint).
   bool checkpoint_midway = true;
-
-  // Rebuild progress records every N committed rebuild transactions (0
-  // disables them — the pre-resume behavior). Emitted in every repro line
-  // and read back from OIR_SWEEP_PROGRESS_INTERVAL by the sweep tests.
-  uint32_t rebuild_progress_interval = 1;
 
   // Admission-control knob for the concurrent rebuild (RebuildOptions::
   // max_foreground_degradation_pct; 0 = unthrottled). Emitted in every

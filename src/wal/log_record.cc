@@ -17,7 +17,6 @@ void EncodeRebuildProgress(std::string* dst, const RebuildProgressInfo& rp) {
   PutFixed64(dst, rp.leaves_rebuilt);
   PutFixed64(dst, rp.top_actions);
   PutFixed64(dst, rp.transactions);
-  PutFixed32(dst, rp.new_page_hwm);
 }
 
 bool DecodeRebuildProgress(Slice* input, RebuildProgressInfo* rp) {
@@ -31,15 +30,12 @@ bool DecodeRebuildProgress(Slice* input, RebuildProgressInfo* rp) {
   if (!GetLengthPrefixedSlice(input, &cursor)) return false;
   rp->cursor = cursor.ToString();
   uint64_t v64;
-  uint32_t v32;
   if (!GetFixed64(input, &v64)) return false;
   rp->leaves_rebuilt = v64;
   if (!GetFixed64(input, &v64)) return false;
   rp->top_actions = v64;
   if (!GetFixed64(input, &v64)) return false;
   rp->transactions = v64;
-  if (!GetFixed32(input, &v32)) return false;
-  rp->new_page_hwm = v32;
   return true;
 }
 

@@ -109,10 +109,6 @@ struct RebuildProgressInfo {
   uint64_t leaves_rebuilt = 0;
   uint64_t top_actions = 0;
   uint64_t transactions = 0;
-  // Side-file high-water mark: highest page id the rebuild has allocated
-  // for new leaves so far (diagnostics; the pages themselves are covered
-  // by ordinary alloc/format logging).
-  PageId new_page_hwm = kInvalidPageId;
 };
 
 struct KeyCopyEntry {

@@ -40,10 +40,8 @@ uint32_t EnvKnob(const char* name, uint32_t fallback) {
 SweepWorkloadOptions SweepOptions() {
   SweepWorkloadOptions opts;
   opts.seed = test::TestSeed(1);
-  // Both knobs appear in every repro line the sweep prints, so a failing
-  // iteration replays with the exact same progress/throttle shape.
-  opts.rebuild_progress_interval =
-      EnvKnob("OIR_SWEEP_PROGRESS_INTERVAL", opts.rebuild_progress_interval);
+  // The knob appears in every repro line the sweep prints, so a failing
+  // iteration replays with the exact same throttle shape.
   opts.rebuild_throttle_pct =
       EnvKnob("OIR_SWEEP_THROTTLE", opts.rebuild_throttle_pct);
   return opts;

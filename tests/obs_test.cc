@@ -452,9 +452,10 @@ TEST(RebuildProgressTest, MonotonicWhilePolledUnderConcurrentWriters) {
   for (uint64_t i = 0; i < 4000; ++i) ids.push_back(i * 2);
   test::InsertMany(db.get(), ids);
 
+  RebuildJournal journal;
   OnlineRebuilder rebuilder(db->tree(), db->txn_manager(),
                             db->buffer_manager(), db->log_manager(),
-                            db->lock_manager(), db->space_manager());
+                            db->lock_manager(), db->space_manager(), &journal);
 
   std::atomic<bool> stop{false};
   std::thread writer([&db, &stop] {

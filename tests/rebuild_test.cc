@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 
@@ -400,9 +401,8 @@ TEST(RebuildResumeTest, CrashMidRebuildResumesFromDurableCursor) {
 
   // Recovery re-armed the rebuild from the last durable progress record —
   // two committed transactions, cursor present — instead of from zero.
-  // (Copied, not referenced: ResumeRebuild clears the pending state.)
   ASSERT_TRUE(db->has_pending_rebuild());
-  const RebuildProgressInfo p = db->pending_rebuild().progress;
+  const RebuildProgressInfo p = db->pending_rebuild();
   EXPECT_TRUE(p.has_cursor);
   EXPECT_FALSE(p.cursor.empty());
   EXPECT_EQ(p.transactions, 2u);
@@ -423,35 +423,32 @@ TEST(RebuildResumeTest, CrashMidRebuildResumesFromDurableCursor) {
 }
 
 TEST(RebuildResumeTest, CompletedRebuildLeavesNothingPending) {
-  auto db = MakeDb();
-  BuildHalfFullIndex(db.get(), 400);
-  RebuildOptions opts = SmallTxnOptions();
-  RebuildResult res;
-  ASSERT_OK(db->index()->RebuildOnline(opts, &res));
-  EXPECT_GT(res.progress_records, res.transactions);  // begin + per-txn + done
+  // n = 300: the first transaction rebuilds exactly xactsize leaves, so the
+  // last one finds the end of the index and logs nothing but the done
+  // record, which must still be durable when the rebuild returns OK.
+  // n = 400: the last transaction also rebuilds leaves.
+  const RebuildOptions opts = SmallTxnOptions();
+  for (uint64_t n : {300, 400}) {
+    SCOPED_TRACE(n);
+    auto db = MakeDb();
+    BuildHalfFullIndex(db.get(), n);
+    RebuildResult res;
+    ASSERT_OK(db->index()->RebuildOnline(opts, &res));
+    EXPECT_GT(res.progress_records, res.transactions);  // begin + per-txn
+    if (n == 300) {
+      ASSERT_EQ(res.transactions, 2u);
+      ASSERT_EQ(res.old_leaf_pages, opts.xactsize);
+    }
 
-  // The done record survives the crash, so recovery arms nothing.
-  RecoveryStats rs;
-  ASSERT_OK(db->CrashAndRecover(&rs));
-  EXPECT_FALSE(db->has_pending_rebuild());
-  RebuildResult resumed;
-  EXPECT_TRUE(db->ResumeRebuild(opts, &resumed).IsInvalidArgument());
-  test::ExpectTreeContains(db.get(), EvenIds(400));
-  ExpectInvariants(db.get());
-}
-
-TEST(RebuildResumeTest, ProgressLoggingAblationWritesNoRecords) {
-  auto db = MakeDb();
-  BuildHalfFullIndex(db.get(), 400);
-  RebuildOptions opts = SmallTxnOptions();
-  opts.progress_interval_txns = 0;  // pre-resume behavior
-  RebuildResult res;
-  ASSERT_OK(db->index()->RebuildOnline(opts, &res));
-  EXPECT_EQ(res.progress_records, 0u);
-  RecoveryStats rs;
-  ASSERT_OK(db->CrashAndRecover(&rs));
-  EXPECT_FALSE(db->has_pending_rebuild());
-  test::ExpectTreeContains(db.get(), EvenIds(400));
+    // The done record survives the crash, so recovery arms nothing.
+    RecoveryStats rs;
+    ASSERT_OK(db->CrashAndRecover(&rs));
+    EXPECT_FALSE(db->has_pending_rebuild());
+    RebuildResult resumed;
+    EXPECT_TRUE(db->ResumeRebuild(opts, &resumed).IsInvalidArgument());
+    test::ExpectTreeContains(db.get(), EvenIds(n));
+    ExpectInvariants(db.get());
+  }
 }
 
 TEST(RebuildResumeTest, CheckpointCarriesResumePointAcrossTruncation) {
@@ -475,7 +472,7 @@ TEST(RebuildResumeTest, CheckpointCarriesResumePointAcrossTruncation) {
   RecoveryStats rs;
   ASSERT_OK(db->CrashAndRecover(&rs));
   ASSERT_TRUE(db->has_pending_rebuild());
-  const std::string cursor = db->pending_rebuild().progress.cursor;
+  const std::string cursor = db->pending_rebuild().cursor;
 
   // Checkpoint + truncate discards the log prefix holding the progress
   // records; the checkpoint's embedded copy (fed from the journal, which
@@ -484,13 +481,109 @@ TEST(RebuildResumeTest, CheckpointCarriesResumePointAcrossTruncation) {
   ASSERT_OK(db->CheckpointAndTruncate());
   ASSERT_OK(db->CrashAndRecover(&rs));
   ASSERT_TRUE(db->has_pending_rebuild());
-  EXPECT_TRUE(db->pending_rebuild().progress.has_cursor);
-  EXPECT_EQ(db->pending_rebuild().progress.cursor, cursor);
-  EXPECT_EQ(db->pending_rebuild().progress.transactions, 2u);
+  EXPECT_TRUE(db->pending_rebuild().has_cursor);
+  EXPECT_EQ(db->pending_rebuild().cursor, cursor);
+  EXPECT_EQ(db->pending_rebuild().transactions, 2u);
 
   RebuildResult resumed;
   ASSERT_OK(db->ResumeRebuild(opts, &resumed));
   EXPECT_TRUE(resumed.resumed);
+  test::ExpectTreeContains(db.get(), EvenIds(kN));
+  ExpectInvariants(db.get());
+}
+
+// Runs an online rebuild on its own thread, parks it right after hit `hit`
+// of "rebuild.progress.logged" (the record is appended and the journal
+// updated), takes a checkpoint in that window, then lets the rebuild run
+// on. Returns the rebuild's status.
+Status RebuildCheckpointingAtProgressHit(Db* db, const RebuildOptions& opts,
+                                         uint64_t hit, RebuildResult* res) {
+  auto& reg = fault::CrashPointRegistry::Get();
+  fault::CrashPointRegistry::SetEnabled(true);
+  reg.ResetCounts();
+  std::atomic<bool> parked{false};
+  std::atomic<bool> released{false};
+  reg.Arm("rebuild.progress.logged", hit, [&] {
+    parked.store(true);
+    while (!released.load()) std::this_thread::yield();
+  });
+  Status status;
+  std::thread rebuilder(
+      [&] { status = db->index()->RebuildOnline(opts, res); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!parked.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(parked.load()) << "progress record " << hit << " never logged";
+  if (parked.load()) EXPECT_OK(db->Checkpoint());
+  released.store(true);
+  rebuilder.join();
+  reg.Disarm();
+  fault::CrashPointRegistry::SetEnabled(false);
+  return status;
+}
+
+// A checkpoint taken right after the rebuild logged its done record must
+// not embed a stale "active" resume point: its scan start lies past the
+// done record, so recovery would never see the record that clears it. The
+// journal drops the entry in the same critical section as the append, and
+// the checkpoint reads the log tail and the entry as one cut.
+TEST(RebuildResumeTest, CheckpointAfterDoneRecordLeavesNothingPending) {
+  const uint64_t kN = 400;
+  const RebuildOptions opts = SmallTxnOptions();
+  // Progress records: the begin marker (hit 0), then one per transaction;
+  // the last transaction's record is the done record.
+  const uint64_t done_hit = FullRebuildTxns(kN, opts);
+  auto db = MakeDb();
+  BuildHalfFullIndex(db.get(), kN);
+
+  RebuildResult res;
+  ASSERT_OK(RebuildCheckpointingAtProgressHit(db.get(), opts, done_hit, &res));
+  EXPECT_EQ(res.transactions, done_hit);
+
+  RecoveryStats rs;
+  ASSERT_OK(db->CrashAndRecover(&rs));
+  EXPECT_FALSE(db->has_pending_rebuild());
+  test::ExpectTreeContains(db.get(), EvenIds(kN));
+  ExpectInvariants(db.get());
+}
+
+// A checkpoint taken right after the first transaction's progress record
+// was appended must embed that record, not the begin marker: otherwise the
+// record sits below the checkpoint's scan start and the transaction it
+// counts is lost, so the rebuild would restart from zero.
+TEST(RebuildResumeTest, CheckpointAfterProgressRecordKeepsItsCursor) {
+  const uint64_t kN = 1200;
+  RebuildOptions opts = SmallTxnOptions();
+  auto db = MakeDb();
+  BuildHalfFullIndex(db.get(), kN);
+
+  // Once the first rebuild transaction has committed, nothing more becomes
+  // durable: a power cut right there.
+  LogManager* log = db->log_manager();
+  opts.on_progress = [log](const obs::RebuildProgress& p) {
+    if (p.transactions >= 1) log->SetFailFlushes(true);
+  };
+  RebuildResult crashed;
+  EXPECT_FALSE(  // died at the power cut
+      RebuildCheckpointingAtProgressHit(db.get(), opts, 1, &crashed).ok());
+  log->SetFailFlushes(false);
+  EXPECT_EQ(crashed.transactions, 1u);
+
+  RecoveryStats rs;
+  ASSERT_OK(db->CrashAndRecover(&rs));
+  ASSERT_TRUE(db->has_pending_rebuild());
+  const RebuildProgressInfo p = db->pending_rebuild();
+  EXPECT_EQ(p.transactions, 1u);
+  EXPECT_TRUE(p.has_cursor);
+  EXPECT_FALSE(p.cursor.empty());
+
+  opts.on_progress = nullptr;
+  RebuildResult resumed;
+  ASSERT_OK(db->ResumeRebuild(opts, &resumed));
+  EXPECT_EQ(resumed.resume_cursor, p.cursor);
+  EXPECT_FALSE(db->has_pending_rebuild());
   test::ExpectTreeContains(db.get(), EvenIds(kN));
   ExpectInvariants(db.get());
 }

@@ -136,7 +136,6 @@ TEST(LogRecordTest, RebuildProgressRoundTrip) {
   rec.rebuild_progress.leaves_rebuilt = 123;
   rec.rebuild_progress.top_actions = 45;
   rec.rebuild_progress.transactions = 6;
-  rec.rebuild_progress.new_page_hwm = 789;
   LogRecord out = RoundTrip(rec);
   EXPECT_EQ(out.type, LogType::kRebuildProgress);
   EXPECT_TRUE(out.rebuild_progress.active);
@@ -146,7 +145,6 @@ TEST(LogRecordTest, RebuildProgressRoundTrip) {
   EXPECT_EQ(out.rebuild_progress.leaves_rebuilt, 123u);
   EXPECT_EQ(out.rebuild_progress.top_actions, 45u);
   EXPECT_EQ(out.rebuild_progress.transactions, 6u);
-  EXPECT_EQ(out.rebuild_progress.new_page_hwm, 789u);
   EXPECT_FALSE(out.IsPageUpdate());
 
   // The done marker round-trips as inactive.
