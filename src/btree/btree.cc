@@ -290,7 +290,7 @@ Status BTree::AbortNta(OpCtx op, NtaScope* nta) {
 Status BTree::Traverse(OpCtx op, const Slice& key, bool writer,
                        uint16_t target_level, PageRef* out, Path* path) {
   obs::Span span(obs::Site::kBtreeTraverse);
-  auto& counters = GlobalCounters::Get();
+  auto& counters = GlobalCounters::Local();
   int restarts = -1;
 
 retraverse:

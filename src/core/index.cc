@@ -12,33 +12,9 @@ Index::Index(BTree* tree, TransactionManager* tm, BufferManager* bm,
     : tree_(tree), tm_(tm), bm_(bm), log_(log), locks_(locks),
       space_(space), journal_(journal) {}
 
-namespace {
-
-// Holds the table lock in `mode` for the duration of one operation.
-class TableLockGuard {
- public:
-  TableLockGuard(LockManager* locks, TxnId owner, LockKey key, LockMode mode)
-      : locks_(locks), owner_(owner), key_(key), ok_(false) {
-    ok_ = locks_->Lock(owner_, key_, mode, /*conditional=*/false).ok();
-  }
-  ~TableLockGuard() {
-    if (ok_) locks_->Unlock(owner_, key_);
-  }
-  bool ok() const { return ok_; }
-
- private:
-  LockManager* locks_;
-  TxnId owner_;
-  LockKey key_;
-  bool ok_;
-};
-
-}  // namespace
-
 Status Index::Insert(Transaction* txn, const Slice& key, RowId rid) {
   obs::OpScope op(obs::OpType::kWrite);
-  TableLockGuard table(locks_, txn->id(), LogicalLockKey(kTableLockId),
-                       LockMode::kS);
+  SharedTableLockGuard table(&table_lock_, locks_->wait_timeout());
   if (!table.ok()) return Status::Aborted("table lock timeout");
   // Row-level logical lock (Section 2), held to transaction end.
   OIR_RETURN_IF_ERROR(tm_->LockLogical(txn, rid, LockMode::kX));
@@ -47,8 +23,7 @@ Status Index::Insert(Transaction* txn, const Slice& key, RowId rid) {
 
 Status Index::Delete(Transaction* txn, const Slice& key, RowId rid) {
   obs::OpScope op(obs::OpType::kWrite);
-  TableLockGuard table(locks_, txn->id(), LogicalLockKey(kTableLockId),
-                       LockMode::kS);
+  SharedTableLockGuard table(&table_lock_, locks_->wait_timeout());
   if (!table.ok()) return Status::Aborted("table lock timeout");
   OIR_RETURN_IF_ERROR(tm_->LockLogical(txn, rid, LockMode::kX));
   return tree_->Delete(OpCtx{txn->id(), txn->ctx()}, key, rid);
@@ -57,8 +32,7 @@ Status Index::Delete(Transaction* txn, const Slice& key, RowId rid) {
 Status Index::Lookup(Transaction* txn, const Slice& key, RowId rid,
                      bool* found) {
   obs::OpScope op(obs::OpType::kRead);
-  TableLockGuard table(locks_, txn->id(), LogicalLockKey(kTableLockId),
-                       LockMode::kS);
+  SharedTableLockGuard table(&table_lock_, locks_->wait_timeout());
   if (!table.ok()) return Status::Aborted("table lock timeout");
   return tree_->Lookup(OpCtx{txn->id(), txn->ctx()}, key, rid, found);
 }
@@ -83,16 +57,16 @@ Status Index::RebuildOffline(RebuildResult* result) {
   // Drop-and-recreate baseline: exclusive table lock for the duration, the
   // behavior the paper's introduction describes as unacceptable for OLTP.
   *result = RebuildResult();
+  if (!table_lock_.Lock(locks_->wait_timeout())) {
+    return Status::Aborted("table lock timeout");
+  }
+  struct Unlock {
+    TableLock* lock;
+    ~Unlock() { lock->Unlock(); }
+  } unlock{&table_lock_};
   std::unique_ptr<Transaction> txn = tm_->Begin();
   OpCtx op{txn->id(), txn->ctx()};
-
-  Status s = locks_->Lock(txn->id(), LogicalLockKey(kTableLockId),
-                          LockMode::kX, /*conditional=*/false);
-  if (!s.ok()) {
-    (void)tm_->Abort(txn.get());  // already propagating the first error
-    return s;
-  }
-  txn->TrackLock(LogicalLockKey(kTableLockId));
+  Status s;
 
   // Collect every row and every page of the old tree.
   std::vector<std::string> rows;

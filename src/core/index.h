@@ -9,6 +9,12 @@
 //  * RebuildOffline — the drop-and-recreate baseline the paper's
 //    introduction argues against: it holds an exclusive table lock for the
 //    duration, blocking every reader and writer.
+//
+// The table lock is a TableLock (sync/table_lock.h), not a lock-manager
+// key: Insert/Delete/Lookup hold it shared for their duration, which costs
+// one write to a cache line of the calling thread's own. A data operation
+// blocked behind RebuildOffline gives up after the lock manager's wait
+// timeout with Aborted("table lock timeout").
 
 #include <memory>
 
@@ -16,6 +22,7 @@
 #include "btree/cursor.h"
 #include "core/options.h"
 #include "core/rebuild.h"
+#include "sync/table_lock.h"
 #include "txn/transaction_manager.h"
 
 namespace oir {
@@ -69,7 +76,7 @@ class Index {
   Index(const Index&) = delete;
   Index& operator=(const Index&) = delete;
 
-  // ---- data operations (row-locking, table-IS-locked) ----
+  // ---- data operations (row-locking, table-S-locked) ----
   Status Insert(Transaction* txn, const Slice& key, RowId rid);
   Status Delete(Transaction* txn, const Slice& key, RowId rid);
   Status Lookup(Transaction* txn, const Slice& key, RowId rid, bool* found);
@@ -90,11 +97,6 @@ class Index {
   BTree* tree() { return tree_; }
 
  private:
-  // The "table lock": data operations take it shared for their duration;
-  // the offline rebuild takes it exclusive. The online rebuild does not
-  // touch it — that is the point of the paper.
-  static constexpr RowId kTableLockId = ~0ull;
-
   BTree* const tree_;
   TransactionManager* const tm_;
   BufferManager* const bm_;
@@ -102,6 +104,8 @@ class Index {
   LockManager* const locks_;
   SpaceManager* const space_;
   RebuildJournal* const journal_;
+  // Data operations hold it shared; RebuildOffline holds it exclusive.
+  TableLock table_lock_;
 };
 
 }  // namespace oir

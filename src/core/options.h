@@ -153,10 +153,14 @@ struct RebuildResult {
   uint64_t keys_moved = 0;
   uint64_t top_actions = 0;
   uint64_t transactions = 0;
-  uint64_t log_bytes = 0;        // log volume attributable to the rebuild
+  // The rebuild's own log (its transactions and progress records), exact
+  // under concurrent clients.
+  uint64_t log_bytes = 0;
   uint64_t log_records = 0;
   uint64_t cpu_ns = 0;           // thread CPU time of the rebuild
   uint64_t wall_ns = 0;
+  // Global counter deltas over the run: they also count whatever
+  // concurrent clients did meanwhile.
   uint64_t level1_visits = 0;
   uint64_t io_ops = 0;
 

@@ -49,6 +49,9 @@ struct OnlineRebuilder::Impl {
   RebuildOptions opts;
   RebuildResult* result;
   obs::RebuildProgressTracker* progress;
+  // The rebuild's own log: its transactions' records and its progress
+  // records, whatever other clients log meanwhile.
+  LogAccount logged;
 
   // Live position: the copy cursor (largest composite key copied so far)
   // and the cumulative counters, starting from a resumed run's durable
@@ -189,8 +192,8 @@ Status OnlineRebuilder::Run(const RebuildOptions& options,
   result->cpu_ns = ThreadCpuNanos() - cpu0;
   result->wall_ns = NowNanos() - wall0;
   CounterSnapshot delta = GlobalCounters::Get().Snapshot() - before;
-  result->log_bytes = delta.log_bytes;
-  result->log_records = delta.log_records;
+  result->log_bytes = impl.logged.bytes;
+  result->log_records = impl.logged.records;
   result->level1_visits = delta.level1_visits;
   result->io_ops = delta.io_ops;
   reg.UnregisterGauge("rebuild.active");
@@ -249,13 +252,18 @@ Status OnlineRebuilder::Impl::Run() {
   while (!done) {
     OIR_CRASH_POINT("rebuild.txn.begin");
     std::unique_ptr<Transaction> txn = tm->Begin();
-    // An error return below can leave txn active (its commit or abort never
-    // completed); the manager then keeps it until restart recovery.
-    struct AbandonIfActive {
-      TransactionManager* tm;
+    // Charges the transaction's log to the rebuild on every way out of this
+    // iteration. An error return below can leave txn active (its commit or
+    // abort never completed); the manager then keeps it until restart
+    // recovery.
+    struct EndTxn {
+      Impl* impl;
       std::unique_ptr<Transaction>* txn;
-      ~AbandonIfActive() { tm->Abandon(std::move(*txn)); }
-    } abandon_guard{tm, &txn};
+      ~EndTxn() {
+        impl->logged += (*txn)->ctx()->logged;
+        impl->tm->Abandon(std::move(*txn));
+      }
+    } end_txn{this, &txn};
     OpCtx op{txn->id(), txn->ctx()};
     flush_pages_txn.clear();
     old_pages_txn.clear();
@@ -362,7 +370,7 @@ Status OnlineRebuilder::Impl::LogProgress(bool done_flag, bool in_txn) {
   // transaction's rollback) — the cursor is valid no matter how the commit
   // itself fares.
   if (in_txn) ++rp.transactions;
-  const Lsn lsn = journal->Append(log, rp);
+  const Lsn lsn = journal->Append(log, rp, &logged);
   if (!in_txn || done_flag) {
     // Nothing downstream is sure to flush these two, so force them durable
     // now. The begin marker stands alone. The done record's transaction
@@ -890,25 +898,40 @@ Status OnlineRebuilder::Impl::CopyPhase(OpCtx op, BTree::NtaScope* nta,
     if (!rec.copies.empty()) {
       Lsn lsn = log->Append(&rec, op.ctx);
       OIR_CRASH_POINT("rebuild.copy.keycopy_logged");
-      // Apply to each target under its X latch.
-      for (size_t si = 0; si < sources.size(); ++si) {
-        size_t ri = 0;
-        while (ri < sources[si].rows.size()) {
-          int t = placements[si][ri].target;
+      // Apply one target at a time: all of its rows under one X latch
+      // hold, then one page_lsn stamp. A page's LSN may cover only
+      // complete updates — a target fed by two sources stamped after the
+      // first run could be written back half-filled, and redo would then
+      // skip it. Targets are in placement order, so walking (source, row)
+      // in order visits each target's rows contiguously and fills its
+      // precomputed slots in order.
+      size_t si = 0;
+      size_t ri = 0;
+      auto skip_empty = [&] {
+        while (si < sources.size() && ri == sources[si].rows.size()) {
+          ++si;
+          ri = 0;
+        }
+      };
+      skip_empty();
+      while (si < sources.size()) {
+        const int t = placements[si][ri].target;
+        {
           PageRef ref;
           OIR_RETURN_IF_ERROR(bm->Fetch(target_page(t), &ref));
           ref.latch().LockX();
           SlottedPage sp(ref.data(), page_size());
-          while (ri < sources[si].rows.size() &&
-                 placements[si][ri].target == t) {
+          while (si < sources.size() && placements[si][ri].target == t) {
             OIR_CHECK(sp.InsertAt(target_slot(placements[si][ri]),
                                   Slice(sources[si].rows[ri])));
             ++ri;
+            skip_empty();
           }
           sp.header()->page_lsn = lsn;
           ref.latch().UnlockX();
           ref.MarkDirty();
         }
+        OIR_CRASH_POINT("rebuild.copy.target_applied");
       }
     }
   } else {

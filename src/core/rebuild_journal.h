@@ -22,15 +22,16 @@ namespace oir {
 
 class RebuildJournal {
  public:
-  // Appends `info` as a kRebuildProgress record and makes it the entry; a
-  // done record clears the entry instead. Returns the record's LSN (the
-  // caller decides whether to flush it).
-  Lsn Append(LogManager* log, const RebuildProgressInfo& info) {
+  // Appends `info` as a kRebuildProgress record, charged to `account`, and
+  // makes it the entry; a done record clears the entry instead. Returns
+  // the record's LSN (the caller decides whether to flush it).
+  Lsn Append(LogManager* log, const RebuildProgressInfo& info,
+             LogAccount* account) {
     MutexLock l(mu_);
     LogRecord rec;
     rec.type = LogType::kRebuildProgress;
     rec.rebuild_progress = info;
-    const Lsn lsn = log->AppendSystem(&rec);
+    const Lsn lsn = log->AppendSystem(&rec, account);
     info_ = info.done ? RebuildProgressInfo() : info;
     return lsn;
   }

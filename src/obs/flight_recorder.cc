@@ -165,7 +165,7 @@ bool FlightRecorder::DumpNow(const std::string& reason, std::string* path) {
                 static_cast<unsigned long long>(seq));
   std::string file = BundleDir() + name;
   if (!WriteFileAtomic(file, body)) return false;
-  GlobalCounters::Get().flight_records_dumped.fetch_add(
+  GlobalCounters::Local().flight_records_dumped.fetch_add(
       1, std::memory_order_relaxed);
   {
     MutexLock l(path_mu_);

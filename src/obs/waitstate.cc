@@ -4,6 +4,7 @@
 #include "obs/trace.h"
 #include "util/clock.h"
 #include "util/histogram.h"
+#include "util/thread_slot.h"
 
 namespace oir::obs {
 
@@ -26,12 +27,9 @@ static_assert(sizeof(kSites) / sizeof(kSites[0]) == kNumSites);
 constexpr size_t kShards = 16;
 
 // Per-thread shard index: threads are striped over the shards in the order
-// they first record, so a small thread count gets distinct shards.
-size_t ThreadShardIndex() {
-  static std::atomic<size_t> next{0};
-  thread_local size_t idx = next.fetch_add(1, std::memory_order_relaxed);
-  return idx % kShards;
-}
+// they first ask for a thread slot, so a small thread count gets distinct
+// shards.
+size_t ThreadShardIndex() { return ThreadSlot() % kShards; }
 
 // Everything a thread needs to classify its own time. Touched only by the
 // owning thread, so plain (non-atomic) fields are fine.

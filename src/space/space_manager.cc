@@ -14,12 +14,34 @@ SpaceManager::SpaceManager(Disk* disk, LogManager* log, PageId first_data_page)
       first_data_page_(first_data_page),
       next_unused_(first_data_page) {}
 
+SpaceManager::~SpaceManager() {
+  for (auto& slot : dir_) delete[] slot.load(std::memory_order_relaxed);
+}
+
 PageState SpaceManager::GetState(PageId page) const {
-  MutexLock l(mu_);
   if (page < first_data_page_) return PageState::kAllocated;
-  size_t idx = page - first_data_page_;
-  if (idx >= states_.size()) return PageState::kFree;
-  return states_[idx];
+  const size_t idx = page - first_data_page_;
+  const std::atomic<PageState>* chunk =
+      dir_[idx >> kChunkBits].load(std::memory_order_acquire);
+  if (chunk == nullptr) return PageState::kFree;
+  return chunk[idx & (kChunkPages - 1)].load(std::memory_order_acquire);
+}
+
+std::atomic<PageState>& SpaceManager::SlotLocked(size_t idx) {
+  std::atomic<std::atomic<PageState>*>& slot = dir_[idx >> kChunkBits];
+  std::atomic<PageState>* chunk = slot.load(std::memory_order_relaxed);
+  if (chunk == nullptr) {
+    chunk = new std::atomic<PageState>[kChunkPages]();  // all kFree
+    slot.store(chunk, std::memory_order_release);
+  }
+  return chunk[idx & (kChunkPages - 1)];
+}
+
+void SpaceManager::Transition(PageId page, PageState from, PageState to) {
+  OIR_CHECK(page >= first_data_page_ && page < next_unused_);
+  std::atomic<PageState>& s = SlotLocked(page - first_data_page_);
+  OIR_CHECK(s.load(std::memory_order_relaxed) == from);
+  s.store(to, std::memory_order_release);
 }
 
 Status SpaceManager::ExtendLocked(uint32_t n, PageId* first) {
@@ -30,8 +52,7 @@ Status SpaceManager::ExtendLocked(uint32_t n, PageId* first) {
     uint32_t target = std::max<uint32_t>(want, disk_->NumPages() * 2);
     OIR_RETURN_IF_ERROR(disk_->Extend(target));
   }
-  next_unused_ = start + n;
-  states_.resize(next_unused_ - first_data_page_, PageState::kFree);
+  next_unused_ = start + n;  // the new pages' bytes already read kFree
   *first = start;
   return Status::OK();
 }
@@ -39,10 +60,10 @@ Status SpaceManager::ExtendLocked(uint32_t n, PageId* first) {
 Status SpaceManager::ReserveRunLocked(uint32_t n, PageId* first) {
   // Look for n contiguous free pages below the high-water mark. The paper's
   // page manager prefers "a chunk of large contiguous free disk space";
-  // scanning the in-memory state vector is our equivalent.
+  // scanning the in-memory state map is our equivalent.
   uint32_t run = 0;
-  for (size_t i = 0; i < states_.size(); ++i) {
-    if (states_[i] == PageState::kFree) {
+  for (size_t i = 0; i < SizeLocked(); ++i) {
+    if (StateLocked(i) == PageState::kFree) {
       ++run;
       if (run == n) {
         *first = first_data_page_ + static_cast<PageId>(i + 1 - n);
@@ -70,7 +91,7 @@ Status SpaceManager::AllocateChunk(TxnContext* ctx, uint32_t n,
     MutexLock l(mu_);
     OIR_RETURN_IF_ERROR(ReserveRunLocked(n, &first));
     for (uint32_t i = 0; i < n; ++i) {
-      states_[first + i - first_data_page_] = PageState::kAllocated;
+      SetLocked(first + i - first_data_page_, PageState::kAllocated);
     }
   }
   OIR_CRASH_POINT("space.alloc.state");
@@ -90,11 +111,7 @@ Status SpaceManager::AllocateChunk(TxnContext* ctx, uint32_t n,
 Status SpaceManager::Deallocate(TxnContext* ctx, PageId page) {
   {
     MutexLock l(mu_);
-    OIR_CHECK(page >= first_data_page_ &&
-              page - first_data_page_ < states_.size());
-    PageState& s = states_[page - first_data_page_];
-    OIR_CHECK(s == PageState::kAllocated);
-    s = PageState::kDeallocated;
+    Transition(page, PageState::kAllocated, PageState::kDeallocated);
   }
   OIR_CRASH_POINT("space.dealloc.state");
   LogRecord rec;
@@ -110,11 +127,7 @@ Status SpaceManager::DeallocateBatch(TxnContext* ctx,
   {
     MutexLock l(mu_);
     for (PageId page : pages) {
-      OIR_CHECK(page >= first_data_page_ &&
-                page - first_data_page_ < states_.size());
-      PageState& s = states_[page - first_data_page_];
-      OIR_CHECK(s == PageState::kAllocated);
-      s = PageState::kDeallocated;
+      Transition(page, PageState::kAllocated, PageState::kDeallocated);
     }
   }
   OIR_CRASH_POINT("space.dealloc.state");
@@ -136,18 +149,14 @@ Status SpaceManager::DeallocateBatch(TxnContext* ctx,
 void SpaceManager::Free(PageId page) {
   OIR_CRASH_POINT("space.free");
   MutexLock l(mu_);
-  OIR_CHECK(page >= first_data_page_ &&
-            page - first_data_page_ < states_.size());
-  PageState& s = states_[page - first_data_page_];
-  OIR_CHECK(s == PageState::kDeallocated);
-  s = PageState::kFree;
+  Transition(page, PageState::kDeallocated, PageState::kFree);
 }
 
 uint64_t SpaceManager::CountInState(PageState st) const {
   MutexLock l(mu_);
   uint64_t n = 0;
-  for (PageState s : states_) {
-    if (s == st) ++n;
+  for (size_t i = 0; i < SizeLocked(); ++i) {
+    if (StateLocked(i) == st) ++n;
   }
   return n;
 }
@@ -155,8 +164,8 @@ uint64_t SpaceManager::CountInState(PageState st) const {
 std::vector<PageId> SpaceManager::PagesInState(PageState st) const {
   MutexLock l(mu_);
   std::vector<PageId> out;
-  for (size_t i = 0; i < states_.size(); ++i) {
-    if (states_[i] == st) out.push_back(first_data_page_ + i);
+  for (size_t i = 0; i < SizeLocked(); ++i) {
+    if (StateLocked(i) == st) out.push_back(first_data_page_ + i);
   }
   return out;
 }
@@ -168,39 +177,27 @@ PageId SpaceManager::end_page() const {
 
 void SpaceManager::UndoAlloc(PageId page) {
   MutexLock l(mu_);
-  OIR_CHECK(page >= first_data_page_ &&
-            page - first_data_page_ < states_.size());
-  PageState& s = states_[page - first_data_page_];
-  OIR_CHECK(s == PageState::kAllocated);
-  s = PageState::kFree;
+  Transition(page, PageState::kAllocated, PageState::kFree);
 }
 
 void SpaceManager::UndoDealloc(PageId page) {
   MutexLock l(mu_);
-  OIR_CHECK(page >= first_data_page_ &&
-            page - first_data_page_ < states_.size());
-  PageState& s = states_[page - first_data_page_];
-  OIR_CHECK(s == PageState::kDeallocated);
-  s = PageState::kAllocated;
+  Transition(page, PageState::kDeallocated, PageState::kAllocated);
 }
 
 void SpaceManager::SetStateForRecovery(PageId page, PageState s) {
   MutexLock l(mu_);
   OIR_CHECK(page >= first_data_page_);
-  size_t idx = page - first_data_page_;
-  if (idx >= states_.size()) {
-    states_.resize(idx + 1, PageState::kFree);
-    next_unused_ = page + 1;
-  }
-  states_[idx] = s;
+  if (page >= next_unused_) next_unused_ = page + 1;
+  SetLocked(page - first_data_page_, s);
 }
 
 std::vector<PageId> SpaceManager::FreeAllDeallocated() {
   MutexLock l(mu_);
   std::vector<PageId> freed;
-  for (size_t i = 0; i < states_.size(); ++i) {
-    if (states_[i] == PageState::kDeallocated) {
-      states_[i] = PageState::kFree;
+  for (size_t i = 0; i < SizeLocked(); ++i) {
+    if (StateLocked(i) == PageState::kDeallocated) {
+      SetLocked(i, PageState::kFree);
       freed.push_back(first_data_page_ + i);
     }
   }
@@ -209,7 +206,8 @@ std::vector<PageId> SpaceManager::FreeAllDeallocated() {
 
 void SpaceManager::ResetForRecovery() {
   MutexLock l(mu_);
-  states_.clear();
+  // Chunks stay (a lock-free reader may be in one); their bytes go free.
+  for (size_t i = 0; i < SizeLocked(); ++i) SetLocked(i, PageState::kFree);
   next_unused_ = first_data_page_;
 }
 

@@ -16,8 +16,13 @@
 //
 // The allocation map is kept in memory and reconstructed from the log
 // during restart recovery (a substitution for ASE's persistent allocation
-// pages; see DESIGN.md).
+// pages; see DESIGN.md). It holds one atomic state byte per page, in chunks
+// allocated on first use behind a fixed directory. GetState, which the
+// cursor calls on every Next, reads it without a lock; every writer holds
+// the manager's mutex.
 
+#include <atomic>
+#include <cstddef>
 #include <map>
 #include <vector>
 
@@ -40,6 +45,7 @@ class SpaceManager {
   // Pages [0, first_data_page) are reserved (invalid page 0 and metadata)
   // and are considered permanently allocated.
   SpaceManager(Disk* disk, LogManager* log, PageId first_data_page);
+  ~SpaceManager();
 
   SpaceManager(const SpaceManager&) = delete;
   SpaceManager& operator=(const SpaceManager&) = delete;
@@ -63,6 +69,7 @@ class SpaceManager {
   // the flush-before-free ordering of Section 3.
   void Free(PageId page);
 
+  // Lock-free. A page past the high-water mark is free.
   PageState GetState(PageId page) const;
 
   // Number of pages in each state (tests, benchmarks).
@@ -92,14 +99,38 @@ class SpaceManager {
   Status ReserveRunLocked(uint32_t n, PageId* first) OIR_REQUIRES(mu_);
   Status ExtendLocked(uint32_t n, PageId* first) OIR_REQUIRES(mu_);
 
+  // The state byte of map index `idx` (page - first_data_page_),
+  // allocating its chunk on first use.
+  std::atomic<PageState>& SlotLocked(size_t idx) OIR_REQUIRES(mu_);
+  PageState StateLocked(size_t idx) const OIR_REQUIRES(mu_) {
+    return GetState(first_data_page_ + static_cast<PageId>(idx));
+  }
+  void SetLocked(size_t idx, PageState s) OIR_REQUIRES(mu_) {
+    SlotLocked(idx).store(s, std::memory_order_release);
+  }
+  // Checks that `page` is mapped and in state `from`, then sets `to`.
+  void Transition(PageId page, PageState from, PageState to)
+      OIR_REQUIRES(mu_);
+  // Number of map entries: pages in [first_data_page_, next_unused_).
+  size_t SizeLocked() const OIR_REQUIRES(mu_) {
+    return next_unused_ - first_data_page_;
+  }
+
+  static constexpr unsigned kChunkBits = 16;
+  static constexpr size_t kChunkPages = size_t{1} << kChunkBits;
+  static constexpr size_t kDirSize = size_t{1} << (32 - kChunkBits);
+
   Disk* const disk_;
   LogManager* const log_;
   const PageId first_data_page_;
 
   mutable Mutex mu_;
-  // State of every page in [first_data_page_, next_unused_). Pages at and
-  // beyond next_unused_ are free (device may need extension).
-  std::vector<PageState> states_ OIR_GUARDED_BY(mu_);
+  // Chunk directory: slot c covers map indices [c, c+1) * kChunkPages.
+  // Written (a null slot filled) under mu_, read lock-free; chunks live as
+  // long as the manager, so a reader never sees one freed. Every byte at
+  // or past SizeLocked() is kFree.
+  std::atomic<std::atomic<PageState>*> dir_[kDirSize] = {};
+  // Pages at and beyond next_unused_ are free (device may need extension).
   PageId next_unused_ OIR_GUARDED_BY(mu_);
 };
 

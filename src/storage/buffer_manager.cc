@@ -12,12 +12,12 @@ namespace oir {
 
 char* PageRef::data() {
   OIR_DCHECK(valid());
-  return bm_->frames_[frame_].data.get();
+  return bm_->frames_[frame_].data;
 }
 
 const char* PageRef::data() const {
   OIR_DCHECK(valid());
-  return bm_->frames_[frame_].data.get();
+  return bm_->frames_[frame_].data;
 }
 
 Latch& PageRef::latch() {
@@ -51,8 +51,9 @@ BufferManager::BufferManager(Disk* disk, size_t pool_frames, size_t shards)
   OIR_CHECK((shards & (shards - 1)) == 0 && shards <= pool_frames / 4);
   shard_mask_ = static_cast<uint32_t>(shards - 1);
   frames_.resize(pool_frames);
+  frame_data_.reset(new char[pool_frames * page_size_]);
   for (size_t i = 0; i < pool_frames; ++i) {
-    frames_[i].data.reset(new char[page_size_]);
+    frames_[i].data = frame_data_.get() + i * page_size_;
   }
   shards_.resize(shards);
   size_t next = 0;
@@ -72,48 +73,48 @@ BufferManager::BufferManager(Disk* disk, size_t pool_frames, size_t shards)
 BufferManager::~BufferManager() {
   StopWriteBack();
 #ifndef NDEBUG
-  for (Shard& sh : shards_) {
-    MutexLock l(sh.mu);
-    for (size_t i = sh.start; i < sh.start + sh.count; ++i) {
-      OIR_DCHECK(frames_[i].pin_count == 0);
-    }
-  }
+  for (const Frame& f : frames_) OIR_DCHECK(f.pin_count.load() == 0);
 #endif
 }
 
 void BufferManager::Unpin(size_t frame, PageId id) {
-  Shard& sh = ShardOf(id);
-  MutexLock l(sh.mu);
   Frame& f = frames_[frame];
-  OIR_CHECK(f.page_id == id && f.pin_count > 0);
-  --f.pin_count;
-  f.ref = true;
-  if (f.pin_count == 0) NotifyAll(sh);
+  OIR_CHECK(f.page_id == id);
+  if (!f.ref.load(std::memory_order_relaxed)) {
+    f.ref.store(true, std::memory_order_relaxed);
+  }
+  const uint32_t prev = f.pin_count.fetch_sub(1);
+  OIR_CHECK(prev > 0);
+  if (prev == 1) WakeWaiters(ShardOf(id));
+}
+
+void BufferManager::MapFrameLocked(Shard& sh, size_t frame, PageId id) {
+  Frame& f = frames_[frame];
+  f.page_id = id;
+  f.pin_count.store(1);
+  f.dirty.store(false, std::memory_order_relaxed);
+  f.loading.store(true);
+  f.ref.store(true, std::memory_order_relaxed);
+  sh.table[id] = frame;
 }
 
 Status BufferManager::AllocateFrameLocked(Shard& sh, PageId for_page,
                                           size_t* out_frame) {
-  auto& c = GlobalCounters::Get();
+  auto& c = GlobalCounters::Local();
   for (;;) {
     if (!sh.free_list.empty()) {
-      size_t idx = sh.free_list.back();
+      *out_frame = sh.free_list.back();
       sh.free_list.pop_back();
-      Frame& f = frames_[idx];
-      f.page_id = for_page;
-      f.pin_count = 1;
-      f.dirty.store(false, std::memory_order_relaxed);
-      f.loading = true;
-      f.ref = true;
-      sh.table[for_page] = idx;
-      *out_frame = idx;
+      MapFrameLocked(sh, *out_frame, for_page);
       return Status::OK();
     }
     // Clock scan over this shard's frames for an evictable one. Clean
     // victims are preferred — evicting one needs no I/O and never drops the
-    // shard mutex — and dirty frames scanned past are handed to the
+    // table lock — and dirty frames scanned past are handed to the
     // background write-back worker so the next scan finds them clean. The
     // dirty fallback (inline write-back) remains for pools where every
-    // evictable frame is dirty.
+    // evictable frame is dirty. The table lock is exclusive, so a pin
+    // count read as zero stays zero: that is the claim rule.
     size_t scanned = 0;
     size_t victim = SIZE_MAX;
     size_t dirty_victim = SIZE_MAX;
@@ -124,16 +125,13 @@ Status BufferManager::AllocateFrameLocked(Shard& sh, PageId for_page,
       Frame& f = frames_[idx];
       sh.clock_hand = (sh.clock_hand + 1) % sh.count;
       ++scanned;
-      if (f.pin_count != 0 || f.loading) continue;
+      if (f.pin_count.load() != 0 || f.loading.load()) continue;
       const bool dirty = f.dirty.load(std::memory_order_acquire);
       if (dirty && async_wb && enqueued < 4) {
         EnqueueWriteBack(f.page_id);
         ++enqueued;
       }
-      if (f.ref) {
-        f.ref = false;
-        continue;
-      }
+      if (f.ref.exchange(false, std::memory_order_relaxed)) continue;
       if (!dirty) {
         victim = idx;
         break;
@@ -151,35 +149,30 @@ Status BufferManager::AllocateFrameLocked(Shard& sh, PageId for_page,
     // Claim the dirty bit before copying so a marker racing with the
     // write-back leaves the frame dirty again.
     const bool was_dirty = vf.dirty.exchange(false, std::memory_order_acquire);
-    vf.loading = true;  // protect from concurrent use during write-back
+    vf.loading.store(true);  // hits wait out the write-back
     if (was_dirty) {
-      sh.mu.Unlock();
+      sh.table_mu.Unlock();
       Status s = WriteBack(victim);
-      sh.mu.Lock();
+      sh.table_mu.Lock();
       if (!s.ok()) {
         vf.dirty.store(true, std::memory_order_release);
-        vf.loading = false;
-        NotifyAll(sh);
+        vf.loading.store(false);
+        WakeWaiters(sh);
         return s;
       }
       if (sh.table.count(for_page) != 0) {
         // Another thread mapped `for_page` while we were writing back the
         // victim. Leave the (now clean) victim in place and tell the caller
         // to retry its lookup.
-        vf.loading = false;
-        NotifyAll(sh);
+        vf.loading.store(false);
+        WakeWaiters(sh);
         return Status::Busy("fetch raced");
       }
     }
     sh.table.erase(old_id);
-    vf.page_id = for_page;
-    vf.pin_count = 1;
-    vf.dirty.store(false, std::memory_order_relaxed);
-    vf.loading = true;
-    vf.ref = true;
-    sh.table[for_page] = victim;
+    MapFrameLocked(sh, victim, for_page);
     *out_frame = victim;
-    NotifyAll(sh);  // wake fetchers of old_id so they retry
+    WakeWaiters(sh);  // wake fetchers of old_id so they retry
     return Status::OK();
   }
 }
@@ -190,14 +183,14 @@ Status BufferManager::WriteBack(size_t frame) {
   // Copy a consistent image under the S latch.
   std::unique_ptr<char[]> img(new char[page_size_]);
   f.latch.LockS();
-  std::memcpy(img.get(), f.data.get(), page_size_);
+  std::memcpy(img.get(), f.data, page_size_);
   f.latch.UnlockS();
   const Lsn page_lsn = HeaderOf(img.get())->page_lsn;
   if (log_flusher_ != nullptr && page_lsn != kInvalidLsn) {
     OIR_RETURN_IF_ERROR(log_flusher_->FlushTo(page_lsn));
   }
   OIR_CRASH_POINT("pool.writeback.wal_flushed");
-  GlobalCounters::Get().pool_writebacks.fetch_add(1,
+  GlobalCounters::Local().pool_writebacks.fetch_add(1,
                                                   std::memory_order_relaxed);
   {
     obs::Span io(obs::Site::kPoolWrite);
@@ -210,56 +203,66 @@ Status BufferManager::WriteBack(size_t frame) {
 Status BufferManager::Fetch(PageId id, PageRef* out) {
   OIR_CHECK(id != kInvalidPageId);
   obs::Span span(obs::Site::kPoolFetch);
-  auto& c = GlobalCounters::Get();
+  auto& c = GlobalCounters::Local();
   Shard& sh = ShardOf(id);
-  sh.mu.Lock();
   for (;;) {
-    auto it = sh.table.find(id);
-    if (it != sh.table.end()) {
-      Frame& f = frames_[it->second];
-      if (f.loading) {
-        WaitOn(sh);
-        continue;
+    size_t frame = SIZE_MAX;
+    {
+      ReaderMutexLock rl(sh.table_mu);
+      auto it = sh.table.find(id);
+      if (it != sh.table.end()) {
+        frame = it->second;
+        Frame& f = frames_[frame];
+        if (!f.loading.load()) {
+          // The hit: no claim can run while the table lock is shared.
+          f.pin_count.fetch_add(1);
+          if (!f.ref.load(std::memory_order_relaxed)) {
+            f.ref.store(true, std::memory_order_relaxed);
+          }
+          c.pool_hits.fetch_add(1, std::memory_order_relaxed);
+          *out = PageRef(this, frame, id);
+          return Status::OK();
+        }
       }
-      ++f.pin_count;
-      f.ref = true;
-      c.pool_hits.fetch_add(1, std::memory_order_relaxed);
-      *out = PageRef(this, it->second, id);
-      sh.mu.Unlock();
-      return Status::OK();
     }
-    size_t frame;
+    if (frame != SIZE_MAX) {
+      Frame& f = frames_[frame];
+      WaitUnless(sh, [&f] { return !f.loading.load(); });
+      continue;
+    }
+    sh.table_mu.Lock();
+    if (sh.table.count(id) != 0) {  // mapped since the lookup
+      sh.table_mu.Unlock();
+      continue;
+    }
     Status alloc = AllocateFrameLocked(sh, id, &frame);
+    sh.table_mu.Unlock();
     if (alloc.IsBusy()) continue;  // raced with another fetcher; retry
-    if (!alloc.ok()) {
-      sh.mu.Unlock();
-      return alloc;
-    }
+    OIR_RETURN_IF_ERROR(alloc);
     c.pool_misses.fetch_add(1, std::memory_order_relaxed);
-    // Frame is mapped to `id`, pinned once, loading=true. Do the read
-    // without the shard mutex.
-    sh.mu.Unlock();
+    // Frame is mapped to `id`, pinned once, loading. Read without locks.
+    Frame& f = frames_[frame];
     Status s;
     {
       obs::Span io(obs::Site::kPoolRead);
-      s = disk_->ReadPage(id, frames_[frame].data.get());
+      s = disk_->ReadPage(id, f.data);
     }
-    sh.mu.Lock();
-    Frame& f = frames_[frame];
-    f.loading = false;
-    NotifyAll(sh);
     if (!s.ok()) {
-      // Undo: unmap and free the frame.
-      --f.pin_count;
-      OIR_CHECK(f.pin_count == 0);
-      sh.table.erase(id);
-      f.page_id = kInvalidPageId;
-      sh.free_list.push_back(frame);
-      sh.mu.Unlock();
+      // Undo: unmap and free the frame before anyone can pin it.
+      {
+        WriterMutexLock wl(sh.table_mu);
+        sh.table.erase(id);
+        f.page_id = kInvalidPageId;
+        f.pin_count.store(0);
+        f.loading.store(false);
+        sh.free_list.push_back(frame);
+      }
+      WakeWaiters(sh);
       return s;
     }
+    f.loading.store(false);
+    WakeWaiters(sh);
     *out = PageRef(this, frame, id);
-    sh.mu.Unlock();
     return Status::OK();
   }
 }
@@ -267,72 +270,100 @@ Status BufferManager::Fetch(PageId id, PageRef* out) {
 Status BufferManager::Create(PageId id, PageRef* out) {
   OIR_CHECK(id != kInvalidPageId);
   Shard& sh = ShardOf(id);
-  MutexLock lk(sh.mu);
   for (;;) {
+    sh.table_mu.Lock();
     auto it = sh.table.find(id);
     if (it != sh.table.end()) {
-      Frame& f = frames_[it->second];
-      if (f.loading) {
-        WaitOn(sh);
+      const size_t frame = it->second;
+      Frame& f = frames_[frame];
+      if (f.loading.load() || f.pin_count.load() != 0) {
+        // Stale cached copy of a previously freed page: reuse the frame
+        // once a load or any lingering reader pins drain.
+        sh.table_mu.Unlock();
+        WaitUnless(sh, [&f] {
+          return !f.loading.load() && f.pin_count.load() == 0;
+        });
         continue;
       }
-      // Stale cached copy of a previously freed page: reuse the frame once
-      // any lingering reader pins drain.
-      if (f.pin_count != 0) {
-        WaitOn(sh);
-        continue;
-      }
-      ++f.pin_count;
-      f.ref = true;
+      // Create's reuse claim: exclusive table lock, no pin.
+      f.pin_count.store(1);
+      f.ref.store(true, std::memory_order_relaxed);
       f.dirty.store(false, std::memory_order_relaxed);
-      std::memset(f.data.get(), 0, page_size_);
-      *out = PageRef(this, it->second, id);
+      std::memset(f.data, 0, page_size_);
+      sh.table_mu.Unlock();
+      *out = PageRef(this, frame, id);
       return Status::OK();
     }
     size_t frame;
     Status alloc = AllocateFrameLocked(sh, id, &frame);
-    if (alloc.IsBusy()) continue;  // raced with another fetcher; retry
-    OIR_RETURN_IF_ERROR(alloc);
+    if (alloc.IsBusy()) {  // raced with another fetcher; retry
+      sh.table_mu.Unlock();
+      continue;
+    }
+    if (!alloc.ok()) {
+      sh.table_mu.Unlock();
+      return alloc;
+    }
     Frame& f = frames_[frame];
-    std::memset(f.data.get(), 0, page_size_);
-    f.loading = false;
-    NotifyAll(sh);
+    std::memset(f.data, 0, page_size_);
+    f.loading.store(false);
+    sh.table_mu.Unlock();
+    WakeWaiters(sh);
     *out = PageRef(this, frame, id);
     return Status::OK();
   }
 }
 
-Status BufferManager::FlushPage(PageId id) {
+bool BufferManager::ClaimFlush(PageId id, size_t* out_frame) {
   Shard& sh = ShardOf(id);
-  sh.mu.Lock();
   for (;;) {
-    auto it = sh.table.find(id);
-    if (it == sh.table.end()) {
-      sh.mu.Unlock();
-      return Status::OK();
+    size_t frame;
+    {
+      ReaderMutexLock rl(sh.table_mu);
+      auto it = sh.table.find(id);
+      if (it == sh.table.end()) return false;
+      frame = it->second;
+      Frame& f = frames_[frame];
+      if (!f.loading.load()) {
+        f.pin_count.fetch_add(1);  // the hit rule: shared lock, not loading
+        if (!f.flushing.exchange(true)) {
+          *out_frame = frame;
+          return true;
+        }
+        // Another flusher holds the claim. The frame stays mapped (it is
+        // pinned twice), so dropping this pin cannot free it.
+        f.pin_count.fetch_sub(1);
+      }
     }
-    size_t frame = it->second;
     Frame& f = frames_[frame];
-    if (f.loading || f.flushing) {
-      WaitOn(sh);
-      continue;  // frame may have been remapped while we waited
-    }
-    if (!f.dirty.exchange(false, std::memory_order_acquire)) {
-      sh.mu.Unlock();
-      return Status::OK();
-    }
-    ++f.pin_count;  // keep the frame stable during write-back
-    f.flushing = true;
-    sh.mu.Unlock();
-    Status s = WriteBack(frame);
-    sh.mu.Lock();
-    if (!s.ok()) f.dirty.store(true, std::memory_order_release);
-    f.flushing = false;
-    --f.pin_count;
-    NotifyAll(sh);  // wake pin- and flushing-claim waiters
-    sh.mu.Unlock();
-    return s;
+    WaitUnless(sh, [&f] { return !f.loading.load() && !f.flushing.load(); });
   }
+}
+
+void BufferManager::ReleaseFlush(size_t frame, PageId id, bool wrote) {
+  Frame& f = frames_[frame];
+  if (!wrote) {
+    // The claimed content never reached disk: restore the dirty bit so a
+    // later flush retries it.
+    f.dirty.store(true, std::memory_order_release);
+  }
+  f.flushing.store(false);
+  const uint32_t prev = f.pin_count.fetch_sub(1);
+  OIR_CHECK(prev > 0);
+  WakeWaiters(ShardOf(id));  // flushing-claim and pin waiters
+}
+
+Status BufferManager::FlushPage(PageId id) {
+  size_t frame;
+  if (!ClaimFlush(id, &frame)) return Status::OK();  // not cached
+  Frame& f = frames_[frame];
+  if (!f.dirty.exchange(false, std::memory_order_acquire)) {
+    ReleaseFlush(frame, id, /*wrote=*/true);
+    return Status::OK();
+  }
+  Status s = WriteBack(frame);
+  ReleaseFlush(frame, id, /*wrote=*/s.ok());
+  return s;
 }
 
 Status BufferManager::FlushAll() {
@@ -345,7 +376,7 @@ Status BufferManager::FlushAll() {
 Status BufferManager::WriteBackDirty() {
   std::vector<PageId> ids;
   for (Shard& sh : shards_) {
-    MutexLock l(sh.mu);
+    ReaderMutexLock l(sh.table_mu);
     for (const auto& [id, frame] : sh.table) {
       if (frames_[frame].dirty.load(std::memory_order_acquire)) {
         ids.push_back(id);
@@ -365,7 +396,7 @@ Status BufferManager::WriteBackDirty() {
         for (PageId id : ids) {
           wb_queue_.push_back(WbItem{id, &batch});
         }
-        GlobalCounters::Get().pool_wb_enqueued.fetch_add(
+        GlobalCounters::Local().pool_wb_enqueued.fetch_add(
             ids.size(), std::memory_order_relaxed);
         wb_cv_.NotifyAll();
         obs::Span wait(obs::Site::kPoolWait);
@@ -407,7 +438,7 @@ void BufferManager::EnqueueWriteBack(PageId id) {
   if (!wb_queued_ids_.insert(id).second) return;  // already queued
   OIR_CRASH_POINT("pool.wb.enqueue");
   wb_queue_.push_back(WbItem{id, nullptr});
-  GlobalCounters::Get().pool_wb_enqueued.fetch_add(1,
+  GlobalCounters::Local().pool_wb_enqueued.fetch_add(1,
                                                    std::memory_order_relaxed);
   wb_cv_.NotifyOne();
 }
@@ -434,7 +465,7 @@ void BufferManager::CancelWriteBack() {
 }
 
 void BufferManager::WriteBackLoop() {
-  auto& c = GlobalCounters::Get();
+  auto& c = GlobalCounters::Local();
   for (;;) {
     WbItem item;
     {
@@ -496,40 +527,16 @@ Status BufferManager::FlushPages(const std::vector<PageId>& ids,
     PageId run_start = sorted[i];
     std::vector<std::pair<size_t, PageId>> claimed;  // (frame, page)
     auto release_run = [&](bool wrote) {
-      for (const auto& [fidx, pid] : claimed) {
-        Shard& csh = ShardOf(pid);
-        MutexLock l(csh.mu);
-        if (!wrote) {
-          // The claimed content never reached disk: restore the dirty bit
-          // so a later flush retries it.
-          frames_[fidx].dirty.store(true, std::memory_order_release);
-        }
-        frames_[fidx].flushing = false;
-        --frames_[fidx].pin_count;
-        NotifyAll(csh);
-      }
+      for (const auto& [fidx, pid] : claimed) ReleaseFlush(fidx, pid, wrote);
       claimed.clear();
     };
     while (i < sorted.size() && run_len < io_pages &&
            sorted[i] == run_start + run_len) {
       PageId id = sorted[i];
-      Shard& sh = ShardOf(id);
-      sh.mu.Lock();
-      size_t frame = SIZE_MAX;
-      for (;;) {
-        auto it = sh.table.find(id);
-        if (it == sh.table.end()) break;
-        if (frames_[it->second].loading || frames_[it->second].flushing) {
-          WaitOn(sh);
-          continue;  // re-find: frame may have been remapped
-        }
-        frame = it->second;
-        break;
-      }
-      if (frame == SIZE_MAX) {
+      size_t frame;
+      if (!ClaimFlush(id, &frame)) {
         // Not cached (already written back or evicted). Break the run here
         // so disk offsets stay aligned.
-        sh.mu.Unlock();
         if (run_len == 0) {
           ++i;
           run_start = i < sorted.size() ? sorted[i] : kInvalidPageId;
@@ -537,14 +544,12 @@ Status BufferManager::FlushPages(const std::vector<PageId>& ids,
         }
         break;
       }
+      // The pin and the claim are held until the run is written.
       Frame& fr = frames_[frame];
-      ++fr.pin_count;  // held with the claim until the run is written
-      fr.flushing = true;
       fr.dirty.store(false, std::memory_order_relaxed);  // claimed below
-      sh.mu.Unlock();
       fr.latch.LockS();
       std::memcpy(run_buf.get() + static_cast<size_t>(run_len) * page_size_,
-                  fr.data.get(), page_size_);
+                  fr.data, page_size_);
       fr.latch.UnlockS();
       Lsn lsn = HeaderOf(run_buf.get() +
                          static_cast<size_t>(run_len) * page_size_)
@@ -564,7 +569,7 @@ Status BufferManager::FlushPages(const std::vector<PageId>& ids,
       }
     }
     OIR_CRASH_POINT("pool.flushpages.wal_flushed");
-    GlobalCounters::Get().pool_writebacks.fetch_add(
+    GlobalCounters::Local().pool_writebacks.fetch_add(
         run_len, std::memory_order_relaxed);
     Status s;
     {
@@ -609,31 +614,33 @@ Status BufferManager::Prefetch(PageId first, uint32_t count) {
   auto undo = [&](Status why) {
     for (const Slot& s : slots) {
       Shard& sh = ShardOf(s.id);
-      MutexLock l(sh.mu);
       Frame& f = frames_[s.frame];
-      sh.table.erase(s.id);
-      f.page_id = kInvalidPageId;
-      f.pin_count = 0;
-      f.loading = false;
-      sh.free_list.push_back(s.frame);
-      NotifyAll(sh);
+      {
+        WriterMutexLock l(sh.table_mu);
+        sh.table.erase(s.id);
+        f.page_id = kInvalidPageId;
+        f.pin_count.store(0);
+        f.loading.store(false);
+        sh.free_list.push_back(s.frame);
+      }
+      WakeWaiters(sh);
     }
     return why;
   };
   for (uint32_t i = 0; i < count; ++i) {
     const PageId id = first + i;
     Shard& sh = ShardOf(id);
-    sh.mu.Lock();
+    sh.table_mu.Lock();
     if (sh.table.count(id) != 0) {  // cached copy wins: skip
-      sh.mu.Unlock();
+      sh.table_mu.Unlock();
       continue;
     }
     size_t frame;
     Status alloc = AllocateFrameLocked(sh, id, &frame);
-    sh.mu.Unlock();
+    sh.table_mu.Unlock();
     if (alloc.IsBusy()) continue;     // another thread just mapped it
     if (alloc.IsNoSpace()) continue;  // best-effort: shard full of pins
-    // Unlock before undo(): it takes the shard mutex of every reserved
+    // Unlock before undo(): it takes the table lock of every reserved
     // slot, which can include this very shard.
     if (!alloc.ok()) return undo(alloc);
     slots.push_back(Slot{id, frame, i});
@@ -650,41 +657,46 @@ Status BufferManager::Prefetch(PageId first, uint32_t count) {
     rs = disk_->ReadPages(first, count, stage.get());
   }
   if (!rs.ok()) return undo(rs);
-  auto& c = GlobalCounters::Get();
+  auto& c = GlobalCounters::Local();
   for (const Slot& s : slots) {
-    // Frame is mapped, pinned once, loading=true: stable without the lock.
-    std::memcpy(frames_[s.frame].data.get(),
+    // Frame is mapped, pinned once, loading: nobody else touches it.
+    Frame& f = frames_[s.frame];
+    std::memcpy(f.data,
                 stage.get() + static_cast<size_t>(s.off) * page_size_,
                 page_size_);
-    Shard& sh = ShardOf(s.id);
-    MutexLock l(sh.mu);
-    Frame& f = frames_[s.frame];
-    f.loading = false;
-    f.pin_count = 0;
+    f.pin_count.store(0);
+    f.loading.store(false);
     c.pool_prefetched.fetch_add(1, std::memory_order_relaxed);
-    NotifyAll(sh);
+    WakeWaiters(ShardOf(s.id));
   }
   return Status::OK();
 }
 
 void BufferManager::Discard(PageId id) {
   Shard& sh = ShardOf(id);
-  MutexLock lk(sh.mu);
   for (;;) {
-    auto it = sh.table.find(id);
-    if (it == sh.table.end()) return;
-    Frame& f = frames_[it->second];
-    if (f.loading || f.pin_count != 0) {
-      // A reader (e.g. a scan repositioning itself) may hold a short pin on
-      // a page being freed; wait for it to drain.
-      WaitOn(sh);
-      continue;
+    size_t frame;
+    {
+      WriterMutexLock l(sh.table_mu);
+      auto it = sh.table.find(id);
+      if (it == sh.table.end()) return;
+      frame = it->second;
+      Frame& f = frames_[frame];
+      if (!f.loading.load() && f.pin_count.load() == 0) {
+        // Discard's claim: exclusive table lock, no pin.
+        f.dirty.store(false, std::memory_order_relaxed);
+        f.page_id = kInvalidPageId;
+        sh.free_list.push_back(frame);
+        sh.table.erase(it);
+        return;
+      }
     }
-    f.dirty.store(false, std::memory_order_relaxed);
-    f.page_id = kInvalidPageId;
-    sh.free_list.push_back(it->second);
-    sh.table.erase(it);
-    return;
+    // A reader (e.g. a scan repositioning itself) may hold a short pin on
+    // a page being freed; wait for it to drain.
+    Frame& f = frames_[frame];
+    WaitUnless(sh, [&f] {
+      return !f.loading.load() && f.pin_count.load() == 0;
+    });
   }
 }
 
@@ -693,10 +705,10 @@ void BufferManager::DropAll() {
   // in-progress one holds a pin, which the loop below forbids).
   CancelWriteBack();
   for (Shard& sh : shards_) {
-    MutexLock l(sh.mu);
+    WriterMutexLock l(sh.table_mu);
     for (auto& [id, frame] : sh.table) {
       Frame& f = frames_[frame];
-      OIR_CHECK(f.pin_count == 0 && !f.loading);
+      OIR_CHECK(f.pin_count.load() == 0 && !f.loading.load());
       f.dirty.store(false, std::memory_order_relaxed);
       f.page_id = kInvalidPageId;
       sh.free_list.push_back(frame);
@@ -708,7 +720,7 @@ void BufferManager::DropAll() {
 size_t BufferManager::CachedPages() const {
   size_t total = 0;
   for (const Shard& sh : shards_) {
-    MutexLock l(sh.mu);
+    ReaderMutexLock l(sh.table_mu);
     total += sh.table.size();
   }
   return total;

@@ -8,11 +8,26 @@
 // pinned, so a latch holder always has a stable frame.
 //
 // The pool is partitioned into N shards (power of two, pages hashed on
-// PageId): each shard owns a slice of the frames and has its own mutex,
-// page table, free list and clock hand, so concurrent Fetch/Create/Unpin/
-// Discard calls on different pages do not serialize behind one global
+// PageId): each shard owns a slice of the frames and has its own page
+// table, free list and clock hand under a reader/writer table lock, so
+// concurrent calls on different pages do not serialize behind one global
 // mutex. Whole-pool operations (FlushAll, DropAll, CachedPages) iterate
 // the shards.
+//
+// The hit path takes no mutex. A hit looks the page up under the shard's
+// table lock held shared and pins the frame with an atomic increment, only
+// after it sees the frame is not loading; Unpin is an atomic decrement.
+// That is safe because of the claim rule: a mapped frame changes hands
+// (page id, content, free list) only in an eviction victim choice,
+// Discard, Create's reuse of a stale frame or DropAll, and each of these
+// holds the table lock exclusively and finds the pin count zero — so no
+// pin can appear while a claim runs, and none is held when it starts.
+// Threads that wait (for a load, a flush claim or pins to drain) register
+// on the shard's waiter count before re-checking the frame and then sleep
+// on the shard's condition variable; a thread that ends such a state
+// wakes them only if the count is non-zero. Both sides use seq_cst, so
+// either the waiter sees the new state or the waker sees the waiter
+// (DESIGN.md §6, "Sharded buffer pool").
 //
 // The paper's rebuild relies on three buffer-manager behaviours implemented
 // here:
@@ -39,6 +54,7 @@
 #include "sync/latch.h"
 #include "sync/mutex.h"
 #include "util/status.h"
+#include "util/thread_slot.h"
 #include "util/types.h"
 
 namespace oir {
@@ -183,43 +199,52 @@ class BufferManager {
  private:
   friend class PageRef;
 
-  struct Frame {
+  // One page frame, on cache lines of its own: hits on different frames
+  // write different lines. page_id changes only in a claim (table lock
+  // exclusive, pin_count 0) or in the loader of a frame it holds loading,
+  // so a pin holder reads it without a lock.
+  struct alignas(kCacheLineSize) Frame {
     PageId page_id = kInvalidPageId;
-    uint32_t pin_count = 0;         // guarded by the shard mutex
-    std::atomic<bool> dirty{false}; // lock-free: set by MarkDirty
-    bool loading = false;           // I/O in progress; guarded by shard mutex
-    // A flusher holds a parked snapshot of this page (guarded by the shard
-    // mutex; always held together with a pin). At most one flusher may be
-    // between snapshot and disk write per page: the snapshot→write span
-    // blocks on a WAL flush, and a second flusher slipping a newer image
-    // onto disk inside that span would let the first WRITE REGRESS the
-    // disk image — fatal after a checkpoint has bounded the redo scan on
-    // the newer image being durable.
-    bool flushing = false;
-    bool ref = false;               // clock reference bit
+    std::atomic<uint32_t> pin_count{0};
+    std::atomic<bool> dirty{false};  // set by MarkDirty
+    // I/O in progress (a load, or an eviction's write-back): hits wait.
+    // Set only in a claim or an allocation (table lock exclusive); cleared
+    // by the thread that set it.
+    std::atomic<bool> loading{false};
+    // A flusher holds a parked snapshot of this page (always held together
+    // with a pin). At most one flusher may be between snapshot and disk
+    // write per page: the snapshot→write span blocks on a WAL flush, and a
+    // second flusher slipping a newer image onto disk inside that span
+    // would let the first WRITE REGRESS the disk image — fatal after a
+    // checkpoint has bounded the redo scan on the newer image being
+    // durable.
+    std::atomic<bool> flushing{false};
+    std::atomic<bool> ref{false};  // clock reference bit
     Latch latch;
-    std::unique_ptr<char[]> data;
+    char* data = nullptr;  // this frame's page in frame_data_
   };
 
   // One partition of the pool: owns frames [start, start+count) of frames_.
-  // start and count are fixed at construction; everything else is guarded
-  // by the shard mutex. The Frame fields themselves cannot carry
-  // OIR_GUARDED_BY: which shard guards a frame is a dynamic property of the
-  // page currently mapped into it (frames are reached through the shard's
-  // table), which the static analysis cannot name.
-  struct Shard {
-    mutable Mutex mu;
-    CondVar cv;
-    // Skip notify when zero.
-    size_t cv_waiters OIR_GUARDED_BY(mu) = 0;
+  // start and count are fixed at construction. The Frame fields cannot
+  // carry OIR_GUARDED_BY: which shard guards a frame is a dynamic property
+  // of the page currently mapped into it, which the analysis cannot name.
+  struct alignas(kCacheLineSize) Shard {
+    // Shared by lookups (every hit), exclusive for every change to the
+    // table, the free list and the clock hand — and for every claim.
+    mutable SharedMutex table_mu;
     // id -> global frame index.
-    std::unordered_map<PageId, size_t> table OIR_GUARDED_BY(mu);
+    alignas(kCacheLineSize) std::unordered_map<PageId, size_t> table
+        OIR_GUARDED_BY(table_mu);
     // Global frame indices.
-    std::vector<size_t> free_list OIR_GUARDED_BY(mu);
+    std::vector<size_t> free_list OIR_GUARDED_BY(table_mu);
+    // Local offset within [start, start+count).
+    size_t clock_hand OIR_GUARDED_BY(table_mu) = 0;
     size_t start = 0;
     size_t count = 0;
-    // Local offset within [start, start+count).
-    size_t clock_hand OIR_GUARDED_BY(mu) = 0;
+    // Threads registered to wait on cv; read by every wake-up site.
+    alignas(kCacheLineSize) std::atomic<uint32_t> waiters{0};
+    Mutex mu;  // only for cv
+    CondVar cv;
   };
 
   Shard& ShardOf(PageId id) {
@@ -228,30 +253,51 @@ class BufferManager {
     return shards_[(id * 2654435761u) & shard_mask_];
   }
 
-  static void WaitOn(Shard& s) OIR_REQUIRES(s.mu) {
-    ++s.cv_waiters;
-    // Shard CV waits are waits on another thread's I/O (frame loading, a
-    // flushing claim, pins draining ahead of reuse).
-    obs::Span wait(obs::Site::kPoolWait);
-    s.cv.Wait(s.mu);
-    --s.cv_waiters;
+  // Sleeps until woken, unless `ready()` holds once this thread is
+  // registered as a waiter. Callers loop and re-check from scratch, so a
+  // wake-up meant for another frame only costs a retry. Called with no
+  // shard lock held.
+  template <typename Pred>
+  static void WaitUnless(Shard& s, Pred ready) {
+    MutexLock l(s.mu);
+    s.waiters.fetch_add(1);  // seq_cst: registered before the re-check
+    if (!ready()) {
+      // Waits on another thread's I/O (frame loading, a flushing claim,
+      // pins draining ahead of reuse).
+      obs::Span wait(obs::Site::kPoolWait);
+      s.cv.Wait(s.mu);
+    }
+    s.waiters.fetch_sub(1);
   }
-  static void NotifyAll(Shard& s) OIR_REQUIRES(s.mu) {
-    if (s.cv_waiters != 0) s.cv.NotifyAll();
+  // Call after ending a state that others wait out (seq_cst store/RMW).
+  static void WakeWaiters(Shard& s) {
+    if (s.waiters.load() == 0) return;
+    MutexLock l(s.mu);
+    s.cv.NotifyAll();
   }
 
   void Unpin(size_t frame, PageId id);
 
-  // Finds a frame to (re)use in `shard`. Called with the shard mutex held;
-  // may release and reacquire it around eviction I/O (it is held again on
-  // every return path). On success the frame is marked loading with
-  // pin_count 1 and mapped to `for_page`.
+  // Maps `frame` to `id`: pinned once, loading, clean.
+  void MapFrameLocked(Shard& shard, size_t frame, PageId id)
+      OIR_REQUIRES(shard.table_mu);
+
+  // Finds a frame to (re)use in `shard`. Called with the table lock held
+  // exclusively; may release and reacquire it around eviction I/O (it is
+  // held again on every return path). On success the frame is marked
+  // loading with pin_count 1 and mapped to `for_page`.
   Status AllocateFrameLocked(Shard& shard, PageId for_page, size_t* out_frame)
-      OIR_REQUIRES(shard.mu);
+      OIR_REQUIRES(shard.table_mu);
+
+  // Pins `id`'s frame and takes its flushing claim, waiting out a load or
+  // another flusher. False if the page is not cached.
+  bool ClaimFlush(PageId id, size_t* out_frame);
+  // Drops the claim and the pin; `wrote` false restores the dirty bit.
+  void ReleaseFlush(size_t frame, PageId id, bool wrote);
 
   // Writes the frame's page to disk (WAL constraint honored). The frame's
   // latch is taken in S mode internally to get a consistent image. Must be
-  // called without holding the shard mutex and with the frame protected
+  // called without holding the table lock and with the frame protected
   // from reuse (pinned or loading).
   Status WriteBack(size_t frame);
 
@@ -268,8 +314,8 @@ class BufferManager {
   };
   void WriteBackLoop();
   // Dedup'd enqueue for the eviction path; no-op when the worker is off.
-  // Takes wb_mu_ internally — safe with a shard mutex held (the worker
-  // never holds wb_mu_ while taking a shard mutex).
+  // Takes wb_mu_ internally — safe with a table lock held (the worker
+  // never holds wb_mu_ while taking a table lock).
   void EnqueueWriteBack(PageId id);
   // Drops queued items and waits for the in-flight one; leaves the worker
   // running. Canceled batch waiters see Busy.
@@ -284,6 +330,8 @@ class BufferManager {
   LogFlusher* log_flusher_ = nullptr;
 
   std::deque<Frame> frames_;
+  // Every frame's page buffer, in one allocation.
+  std::unique_ptr<char[]> frame_data_;
   std::deque<Shard> shards_;
   uint32_t shard_mask_ = 0;  // num shards - 1 (power of two)
 

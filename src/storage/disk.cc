@@ -13,6 +13,9 @@ namespace oir {
 
 MemDisk::MemDisk(uint32_t page_size, uint32_t initial_pages)
     : Disk(page_size), num_pages_(initial_pages) {
+  // Reserved address space, not memory (see LogManager's constructor): an
+  // Extend within it copies nothing.
+  data_.reserve(kInitialCapacity);
   data_.resize(static_cast<size_t>(page_size) * initial_pages, 0);
 }
 

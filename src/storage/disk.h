@@ -58,7 +58,7 @@ class Disk {
 
  protected:
   void CountIo(uint32_t pages, bool write) {
-    auto& c = GlobalCounters::Get();
+    auto& c = GlobalCounters::Local();
     c.io_ops.fetch_add(1, std::memory_order_relaxed);
     if (write) {
       c.io_write_ops.fetch_add(1, std::memory_order_relaxed);
@@ -86,6 +86,8 @@ class MemDisk : public Disk {
   Status Extend(uint32_t new_num_pages) override;
 
  private:
+  static constexpr size_t kInitialCapacity = size_t{64} << 20;  // bytes
+
   mutable Mutex mu_;
   std::vector<char> data_ OIR_GUARDED_BY(mu_);
   uint32_t num_pages_ OIR_GUARDED_BY(mu_);

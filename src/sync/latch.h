@@ -34,7 +34,7 @@ class Latch {
   Latch& operator=(const Latch&) = delete;
 
   void LockS() {
-    auto& c = GlobalCounters::Get();
+    auto& c = GlobalCounters::Local();
     c.latch_acquires.fetch_add(1, std::memory_order_relaxed);
     if (!mu_.try_lock_shared()) {
       c.latch_waits.fetch_add(1, std::memory_order_relaxed);
@@ -46,7 +46,7 @@ class Latch {
   void UnlockS() { mu_.unlock_shared(); }
 
   void LockX() {
-    auto& c = GlobalCounters::Get();
+    auto& c = GlobalCounters::Local();
     c.latch_acquires.fetch_add(1, std::memory_order_relaxed);
     if (!mu_.try_lock()) {
       c.latch_waits.fetch_add(1, std::memory_order_relaxed);
@@ -58,13 +58,13 @@ class Latch {
   void UnlockX() { mu_.unlock(); }
 
   bool TryLockS() {
-    GlobalCounters::Get().latch_acquires.fetch_add(1,
+    GlobalCounters::Local().latch_acquires.fetch_add(1,
                                                    std::memory_order_relaxed);
     return mu_.try_lock_shared();
   }
 
   bool TryLockX() {
-    GlobalCounters::Get().latch_acquires.fetch_add(1,
+    GlobalCounters::Local().latch_acquires.fetch_add(1,
                                                    std::memory_order_relaxed);
     return mu_.try_lock();
   }

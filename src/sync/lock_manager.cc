@@ -46,7 +46,7 @@ void LockManager::WatchdogFire(const Shard& shard, const LockKey& key,
   auto it = shard.table.find(key);
   if (it == shard.table.end()) return;
   const Entry& e = it->second;
-  GlobalCounters::Get().lock_watchdog_fires.fetch_add(
+  GlobalCounters::Local().lock_watchdog_fires.fetch_add(
       1, std::memory_order_relaxed);
   TxnId holder_id = 0;
   LockMode holder_mode = LockMode::kS;
@@ -76,7 +76,7 @@ void LockManager::WatchdogFire(const Shard& shard, const LockKey& key,
 Status LockManager::Lock(TxnId owner, LockKey key, LockMode mode,
                          bool conditional) {
   obs::Span acquire(obs::Site::kLockAcquire);
-  auto& c = GlobalCounters::Get();
+  auto& c = GlobalCounters::Local();
   c.lock_requests.fetch_add(1, std::memory_order_relaxed);
   Shard& shard = ShardFor(key);
   MutexLock lk(shard.mu);
@@ -138,7 +138,7 @@ Status LockManager::Lock(TxnId owner, LockKey key, LockMode mode,
 Status LockManager::LockInstant(TxnId owner, LockKey key, LockMode mode,
                                 bool conditional) {
   obs::Span acquire(obs::Site::kLockAcquire);
-  auto& c = GlobalCounters::Get();
+  auto& c = GlobalCounters::Local();
   c.lock_requests.fetch_add(1, std::memory_order_relaxed);
   Shard& shard = ShardFor(key);
   MutexLock lk(shard.mu);

@@ -17,10 +17,13 @@
 // of waiting) — the rebuild copy phase uses conditional requests on
 // P2..Pn so it can truncate the batch instead of waiting (Section 4.1.1).
 //
-// The index concurrency protocols (Section 6.5) guarantee that address
-// locks and latches never deadlock; only logical-lock deadlocks are
-// possible. A wait timeout (default 10 s) converts a suspected logical-lock
-// deadlock into Status::Aborted, making the requester the victim.
+// The index concurrency protocols (Section 6.5) are meant to keep address
+// locks and latches from deadlocking, but the code does not yet keep that
+// promise: a writer holding a leaf latch can wait unconditionally for an
+// address lock whose holder, the online rebuild, waits for that latch
+// (ROADMAP item 1). A wait timeout (default 10 s) converts any deadlock
+// into Status::Aborted, making the requester the victim. The index's table
+// lock is not taken here; see sync/table_lock.h.
 
 #include <atomic>
 #include <chrono>
@@ -102,6 +105,7 @@ class LockManager {
   std::string DumpJson() const;
 
   void set_wait_timeout(std::chrono::milliseconds t) { wait_timeout_ = t; }
+  std::chrono::milliseconds wait_timeout() const { return wait_timeout_; }
 
   // Long-wait watchdog: a waiter blocked longer than this emits a trace
   // event and a stderr diagnostic naming the blocked key, the requester and

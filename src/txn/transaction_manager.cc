@@ -17,11 +17,16 @@ std::unique_ptr<Transaction> TransactionManager::Begin() {
   // The begin record is written lazily by LogManager::Append just before
   // the transaction's first real record; a read-only transaction never
   // touches the log.
-  {
-    MutexLock l(mu_);
-    active_[id] = txn.get();
-  }
+  ActiveShard& sh = ShardOf(id);
+  MutexLock l(sh.mu);
+  sh.txns[id] = txn.get();
   return txn;
+}
+
+void TransactionManager::Unregister(TxnId id) {
+  ActiveShard& sh = ShardOf(id);
+  MutexLock l(sh.mu);
+  sh.txns.erase(id);
 }
 
 Status TransactionManager::Commit(Transaction* txn) {
@@ -48,10 +53,7 @@ Status TransactionManager::Commit(Transaction* txn) {
     ReleaseTrackedLocks(txn);
   }
   txn->set_state(TxnState::kCommitted);
-  {
-    MutexLock l(mu_);
-    active_.erase(txn->id());
-  }
+  Unregister(txn->id());
   return Status::OK();
 }
 
@@ -60,8 +62,7 @@ Status TransactionManager::Abort(Transaction* txn) {
   if (txn->last_lsn() == kInvalidLsn) {
     ReleaseTrackedLocks(txn);
     txn->set_state(TxnState::kAborted);
-    MutexLock l(mu_);
-    active_.erase(txn->id());
+    Unregister(txn->id());
     return Status::OK();
   }
   OIR_CRASH_POINT("txn.abort.begin");
@@ -78,10 +79,7 @@ Status TransactionManager::Abort(Transaction* txn) {
   end.type = LogType::kEndTxn;
   log_->Append(&end, txn->ctx());
   txn->set_state(TxnState::kAborted);
-  {
-    MutexLock l(mu_);
-    active_.erase(txn->id());
-  }
+  Unregister(txn->id());
   return Status::OK();
 }
 
@@ -103,30 +101,37 @@ void TransactionManager::ReleaseTrackedLocks(Transaction* txn) {
 
 void TransactionManager::Abandon(std::unique_ptr<Transaction> txn) {
   if (txn == nullptr || txn->state() != TxnState::kActive) return;
-  MutexLock l(mu_);
+  MutexLock l(abandoned_mu_);
   abandoned_.push_back(std::move(txn));
 }
 
 void TransactionManager::ResetAfterCrash(TxnId next_id) {
-  MutexLock l(mu_);
-  active_.clear();
-  abandoned_.clear();
+  for (ActiveShard& sh : active_) {
+    MutexLock l(sh.mu);
+    sh.txns.clear();
+  }
+  {
+    MutexLock l(abandoned_mu_);
+    abandoned_.clear();
+  }
   TxnId cur = next_txn_id_.load(std::memory_order_relaxed);
   if (next_id > cur) next_txn_id_.store(next_id, std::memory_order_relaxed);
 }
 
 void TransactionManager::SnapshotActive(std::vector<CheckpointTxn>* out,
                                         Lsn* oldest_begin) const {
-  MutexLock l(mu_);
   out->clear();
   *oldest_begin = kInvalidLsn;
-  for (const auto& [id, txn] : active_) {
-    // A transaction that has not logged anything yet (lazy begin) needs no
-    // recovery work and does not pin the log.
-    if (txn->last_lsn() == kInvalidLsn) continue;
-    out->push_back(CheckpointTxn{id, txn->last_lsn()});
-    if (*oldest_begin == kInvalidLsn || txn->begin_lsn() < *oldest_begin) {
-      *oldest_begin = txn->begin_lsn();
+  for (const ActiveShard& sh : active_) {
+    MutexLock l(sh.mu);
+    for (const auto& [id, txn] : sh.txns) {
+      // A transaction that has not logged anything yet (lazy begin) needs
+      // no recovery work and does not pin the log.
+      if (txn->last_lsn() == kInvalidLsn) continue;
+      out->push_back(CheckpointTxn{id, txn->last_lsn()});
+      if (*oldest_begin == kInvalidLsn || txn->begin_lsn() < *oldest_begin) {
+        *oldest_begin = txn->begin_lsn();
+      }
     }
   }
 }
@@ -135,9 +140,9 @@ std::string TransactionManager::DumpActiveTxnsJson() const {
   obs::JsonWriter w;
   w.BeginObject();
   w.Key("active").BeginArray();
-  {
-    MutexLock l(mu_);
-    for (const auto& [id, txn] : active_) {
+  for (const ActiveShard& sh : active_) {
+    MutexLock l(sh.mu);
+    for (const auto& [id, txn] : sh.txns) {
       w.BeginObject();
       w.Key("txn").Value(static_cast<uint64_t>(id));
       w.Key("last_lsn").Value(static_cast<uint64_t>(txn->last_lsn()));
@@ -150,8 +155,12 @@ std::string TransactionManager::DumpActiveTxnsJson() const {
 }
 
 size_t TransactionManager::NumActive() const {
-  MutexLock l(mu_);
-  return active_.size();
+  size_t n = 0;
+  for (const ActiveShard& sh : active_) {
+    MutexLock l(sh.mu);
+    n += sh.txns.size();
+  }
+  return n;
 }
 
 }  // namespace oir

@@ -7,6 +7,12 @@
 // via their dummy CLRs (Section 2: split/shrink/rebuild top actions are
 // never undone once complete, even if the enclosing transaction rolls
 // back).
+//
+// The active-transaction table is sharded by transaction id, each shard
+// with its own mutex on its own cache line, so concurrent Begin/Commit
+// calls do not serialize on one lock. SnapshotActive visits the shards one
+// at a time; DESIGN.md §6 argues why that is still a valid fuzzy
+// checkpoint.
 
 #include <atomic>
 #include <map>
@@ -19,6 +25,7 @@
 #include "sync/mutex.h"
 #include "txn/transaction.h"
 #include "util/status.h"
+#include "util/thread_slot.h"
 
 namespace oir {
 
@@ -64,7 +71,10 @@ class TransactionManager {
 
   // Snapshot of the active transactions (for fuzzy checkpoints): their
   // ids, last LSNs and the oldest begin LSN (the log truncation horizon;
-  // kInvalidLsn when no transaction is active).
+  // kInvalidLsn when no transaction is active). Not one atomic cut: each
+  // shard is read under its own mutex. It is complete for what a
+  // checkpoint needs because Begin registers a transaction before it can
+  // log and a transaction leaves the table only after its end record.
   void SnapshotActive(std::vector<CheckpointTxn>* out,
                       Lsn* oldest_begin) const;
 
@@ -85,13 +95,25 @@ class TransactionManager {
   SpaceManager* const space_;
   LogicalUndoHook* hook_ = nullptr;
 
+  // One slice of the active table: the transactions whose id maps here.
+  // The Transaction object is owned by the caller and must outlive its
+  // activity (guaranteed by Commit/Abort removing it, or by Abandon taking
+  // it over).
+  struct alignas(kCacheLineSize) ActiveShard {
+    mutable Mutex mu;
+    std::map<TxnId, Transaction*> txns OIR_GUARDED_BY(mu);
+  };
+  static constexpr size_t kActiveShards = 16;
+
+  ActiveShard& ShardOf(TxnId id) { return active_[id % kActiveShards]; }
+  // Removes a finished transaction from the table.
+  void Unregister(TxnId id);
+
   std::atomic<TxnId> next_txn_id_{1};
-  mutable Mutex mu_;
-  // Active transactions. The Transaction object is owned by the caller and
-  // must outlive its activity (guaranteed by Commit/Abort removing it, or
-  // by Abandon taking it over).
-  std::map<TxnId, Transaction*> active_ OIR_GUARDED_BY(mu_);
-  std::vector<std::unique_ptr<Transaction>> abandoned_ OIR_GUARDED_BY(mu_);
+  ActiveShard active_[kActiveShards];
+  Mutex abandoned_mu_;
+  std::vector<std::unique_ptr<Transaction>> abandoned_
+      OIR_GUARDED_BY(abandoned_mu_);
 };
 
 }  // namespace oir

@@ -11,16 +11,21 @@ GlobalCounters& GlobalCounters::Get() {
 
 CounterSnapshot GlobalCounters::Snapshot() const {
   CounterSnapshot s;
-#define OIR_COUNTER_LOAD(name) s.name = name.load(std::memory_order_relaxed);
-  OIR_COUNTER_FIELDS(OIR_COUNTER_LOAD)
+  for (const CounterStripe& st : stripes_) {
+#define OIR_COUNTER_LOAD(name) \
+  s.name += st.name.load(std::memory_order_relaxed);
+    OIR_COUNTER_FIELDS(OIR_COUNTER_LOAD)
 #undef OIR_COUNTER_LOAD
+  }
   return s;
 }
 
 void GlobalCounters::Reset() {
-#define OIR_COUNTER_ZERO(name) name.store(0, std::memory_order_relaxed);
-  OIR_COUNTER_FIELDS(OIR_COUNTER_ZERO)
+  for (CounterStripe& st : stripes_) {
+#define OIR_COUNTER_ZERO(name) st.name.store(0, std::memory_order_relaxed);
+    OIR_COUNTER_FIELDS(OIR_COUNTER_ZERO)
 #undef OIR_COUNTER_ZERO
+  }
 }
 
 std::string CounterSnapshot::ToString() const {

@@ -6,13 +6,24 @@
 // level-1 page visits (Section 4.3, Section 6.4). Benchmarks snapshot and
 // reset these around measured regions.
 //
+// The counters are striped by thread: an increment goes to the calling
+// thread's stripe (GlobalCounters::Local()), one cache-line-aligned block
+// per thread slot (util/thread_slot.h), so a hot path bumping a counter
+// writes no cache line another thread writes. Snapshot() and Reset() run
+// over every stripe; a stripe outlives the threads that wrote it, so the
+// counts of exited threads stay in the totals. A gauge (e.g.
+// wal_inflight_bytes) may be raised on one thread and lowered on another:
+// its stripes wrap, their sum does not.
+//
 // The field set is defined once, in OIR_COUNTER_FIELDS; the snapshot
-// struct, the atomic struct, operator-, Snapshot(), Reset(), ToString() and
-// the per-field visitors are all generated from it, so they cannot drift.
+// struct, the stripe struct, operator-, Snapshot(), Reset(), ToString() and
+// the visitor are all generated from it, so they cannot drift.
 
 #include <atomic>
 #include <cstdint>
 #include <string>
+
+#include "util/thread_slot.h"
 
 namespace oir {
 
@@ -74,27 +85,30 @@ struct CounterSnapshot {
   std::string ToString() const;
 };
 
+// One thread slot's counters. Written by the threads mapped to the slot.
+struct alignas(kCacheLineSize) CounterStripe {
+#define OIR_COUNTER_DECL(name) std::atomic<uint64_t> name{0};
+  OIR_COUNTER_FIELDS(OIR_COUNTER_DECL)
+#undef OIR_COUNTER_DECL
+};
+
 class GlobalCounters {
  public:
   static GlobalCounters& Get();
 
-#define OIR_COUNTER_DECL(name) std::atomic<uint64_t> name{0};
-  OIR_COUNTER_FIELDS(OIR_COUNTER_DECL)
-#undef OIR_COUNTER_DECL
+  // The calling thread's stripe: count events here, e.g.
+  // GlobalCounters::Local().pool_hits.fetch_add(1, relaxed).
+  static CounterStripe& Local() { return Get().stripes_[ThreadSlot()]; }
 
+  // Sums every stripe. Not a point-in-time cut across threads: increments
+  // racing with the sum may or may not be in it.
   CounterSnapshot Snapshot() const;
   void Reset();
 
-  // Calls fn(name, atomic&) for every field, in declaration order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) {
-#define OIR_COUNTER_VISIT(name) fn(#name, name);
-    OIR_COUNTER_FIELDS(OIR_COUNTER_VISIT)
-#undef OIR_COUNTER_VISIT
-  }
-
  private:
   GlobalCounters() = default;
+
+  CounterStripe stripes_[kThreadSlots];
 };
 
 }  // namespace oir

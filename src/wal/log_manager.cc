@@ -35,6 +35,11 @@ LogManager::LogManager(const WalOptions& wal)
       durable_lsn_(kHeaderSize),
       submitted_lsn_(kHeaderSize),
       durable_adv_seq_(1) {
+  // Reserved address space, not memory: pages are touched only as the log
+  // fills them. Growing from empty would instead pass through a string of
+  // copy-and-free stages below the allocator's mmap threshold, whose freed
+  // blocks the heap keeps resident.
+  buf_.reserve(kInitialCapacity);
   buf_.assign("OIRLOG01\0\0\0\0\0\0\0\0", kHeaderSize);
 }
 
@@ -192,17 +197,22 @@ Status LogManager::PersistMasterLocked() {
 // The record payload does not encode its own LSN (only prev_lsn), so
 // serialization and the CRC — the expensive parts of an append — happen
 // outside mu_; the critical section is just the buffer append.
-Lsn LogManager::AppendEncoded(LogRecord* rec, const std::string& payload) {
+Lsn LogManager::AppendEncoded(LogRecord* rec, const std::string& payload,
+                              LogAccount* account) {
   OIR_CRASH_POINT("wal.append.pre");
   obs::Span span(obs::Site::kWalAppend);
   char frame[8];
   EncodeFixed32(frame, static_cast<uint32_t>(payload.size()));
   EncodeFixed32(frame + 4,
                 crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  auto& c = GlobalCounters::Get();
+  auto& c = GlobalCounters::Local();
   c.log_records.fetch_add(1, std::memory_order_relaxed);
   c.log_bytes.fetch_add(sizeof(frame) + payload.size(),
                         std::memory_order_relaxed);
+  if (account != nullptr) {
+    ++account->records;
+    account->bytes += sizeof(frame) + payload.size();
+  }
   // Hold mu_ at elevated priority: an appender preempted mid-hold blocks
   // the (real-time) sealer and completion threads behind a starved CFS
   // thread — a priority inversion whose cost is a whole scheduling epoch.
@@ -227,7 +237,7 @@ Lsn LogManager::Append(LogRecord* rec, TxnContext* ctx) {
     begin.prev_lsn = kInvalidLsn;
     std::string bp;
     begin.EncodeTo(&bp);
-    const Lsn begin_lsn = AppendEncoded(&begin, bp);
+    const Lsn begin_lsn = AppendEncoded(&begin, bp, &ctx->logged);
     __atomic_store_n(&ctx->last_lsn, begin_lsn, __ATOMIC_RELAXED);
     __atomic_store_n(&ctx->begin_lsn, begin_lsn, __ATOMIC_RELAXED);
   }
@@ -235,7 +245,7 @@ Lsn LogManager::Append(LogRecord* rec, TxnContext* ctx) {
   rec->prev_lsn = ctx->last_lsn;
   std::string payload;
   rec->EncodeTo(&payload);
-  Lsn lsn = AppendEncoded(rec, payload);
+  Lsn lsn = AppendEncoded(rec, payload, &ctx->logged);
   __atomic_store_n(&ctx->last_lsn, lsn, __ATOMIC_RELAXED);
   if (ctx->begin_lsn == kInvalidLsn) {
     __atomic_store_n(&ctx->begin_lsn, lsn, __ATOMIC_RELAXED);
@@ -244,16 +254,16 @@ Lsn LogManager::Append(LogRecord* rec, TxnContext* ctx) {
   return lsn;
 }
 
-Lsn LogManager::AppendSystem(LogRecord* rec) {
+Lsn LogManager::AppendSystem(LogRecord* rec, LogAccount* account) {
   rec->txn_id = kInvalidTxnId;
   rec->prev_lsn = kInvalidLsn;
   std::string payload;
   rec->EncodeTo(&payload);
-  return AppendEncoded(rec, payload);
+  return AppendEncoded(rec, payload, account);
 }
 
 void LogManager::AckLocked() {
-  auto& c = GlobalCounters::Get();
+  auto& c = GlobalCounters::Local();
   c.log_commits_acked.fetch_add(1, std::memory_order_relaxed);
   // All acks issued under one durable-advance seq rode the same flush:
   // count the group once, on its first ack.
@@ -267,7 +277,7 @@ void LogManager::AckLocked() {
 // boundary is advanced to the end of the log so one flush covers every
 // record appended so far.
 Status LogManager::FlushToLocked(Lsn lsn) {
-  GlobalCounters::Get().log_flush_calls.fetch_add(1,
+  GlobalCounters::Local().log_flush_calls.fetch_add(1,
                                                   std::memory_order_relaxed);
   OIR_CRASH_POINT("wal.flush.pre");
   for (;;) {
@@ -348,7 +358,7 @@ Status LogManager::SealLocked() {
   const Lsn end =
       std::min(trim_base_ + buf_.size(), begin + wal_opts_.segment_bytes);
   if (end <= begin) return Status::OK();
-  auto& c = GlobalCounters::Get();
+  auto& c = GlobalCounters::Local();
   Segment seg;
   seg.seq = next_seg_seq_++;
   seg.begin = begin;
@@ -393,7 +403,7 @@ void LogManager::OnSegmentComplete(uint64_t seq, Status s) {
 void LogManager::CompleteSegmentsLocked() {
   bool advanced = false;
   bool failed = false;
-  auto& c = GlobalCounters::Get();
+  auto& c = GlobalCounters::Local();
   while (!inflight_.empty() && inflight_.front().done) {
     Segment seg = inflight_.front();
     inflight_.pop_front();
@@ -537,7 +547,7 @@ void LogManager::QuiescePipeline() {
   if (writer_) writer_->Drain();
   MutexLock l(mu_);
   CompleteSegmentsLocked();
-  auto& c = GlobalCounters::Get();
+  auto& c = GlobalCounters::Local();
   for (const Segment& seg : inflight_) {
     c.wal_inflight_bytes.fetch_sub(seg.end - seg.begin,
                                    std::memory_order_relaxed);

@@ -41,6 +41,18 @@
 
 namespace oir {
 
+// Log volume appended on someone's behalf: records and their framed bytes.
+struct LogAccount {
+  uint64_t records = 0;
+  uint64_t bytes = 0;
+
+  LogAccount& operator+=(const LogAccount& o) {
+    records += o.records;
+    bytes += o.bytes;
+    return *this;
+  }
+};
+
 // Per-transaction logging context: identifies the owner and carries the
 // prevLSN chain. Handed out by Transaction; defined here so lower layers
 // (space manager, B+-tree) can log without depending on the txn module.
@@ -54,6 +66,9 @@ struct TxnContext {
   // record, so a read-only transaction writes no log at all (and its
   // commit needs no flush).
   Lsn begin_lsn = kInvalidLsn;
+  // Everything Append logged for this transaction, its begin record
+  // included. Owner-thread-only: nothing reads it from another thread.
+  LogAccount logged = {};
 };
 
 // Durable-path tuning. Fixed at construction/Open.
@@ -93,10 +108,12 @@ class LogManager : public LogFlusher {
 
   // Serializes `rec`, chaining it to ctx->last_lsn, and advances
   // ctx->last_lsn to the new record's LSN (also stored in rec->lsn).
+  // Charges the record (and a lazy begin record) to ctx->logged.
   Lsn Append(LogRecord* rec, TxnContext* ctx);
 
-  // Appends a record not belonging to any transaction chain.
-  Lsn AppendSystem(LogRecord* rec);
+  // Appends a record not belonging to any transaction chain, charged to
+  // `account` when one is given.
+  Lsn AppendSystem(LogRecord* rec, LogAccount* account = nullptr);
 
   // Durability. FlushTo returns once the record at `lsn` is durable: on a
   // file log the calling thread rides on a segment completion, on an
@@ -186,11 +203,14 @@ class LogManager : public LogFlusher {
 
  private:
   static constexpr Lsn kHeaderSize = 16;  // so that the first LSN != 0
+  static constexpr size_t kInitialCapacity = size_t{64} << 20;  // bytes
   static constexpr Lsn kFileHeaderSize = 24;
 
   // Appends a pre-encoded payload: takes mu_ only for the buffer append
   // (serialization and CRC are done by the caller, outside the lock).
-  Lsn AppendEncoded(LogRecord* rec, const std::string& payload);
+  // Appends one framed record and charges it to `account` (may be null).
+  Lsn AppendEncoded(LogRecord* rec, const std::string& payload,
+                    LogAccount* account);
   // Rewrites the sidecar master record.
   Status PersistMasterLocked() OIR_REQUIRES(mu_);
 

@@ -13,6 +13,7 @@
 #include "core/index.h"
 #include "testing/oracle.h"
 #include "tests/test_util.h"
+#include "util/counters.h"
 #include "util/random.h"
 
 namespace oir {
@@ -377,6 +378,46 @@ TEST(ConcurrencyTest, BackToBackRebuildsUnderLoad) {
   for (auto& t : threads) t.join();
   test::ExpectTreeContains(db.get(),
                            std::set<uint64_t>(base.begin(), base.end()));
+  ExpectInvariants(db.get());
+}
+
+// RebuildResult::log_bytes counts the rebuild's own records only. A writer
+// running through the whole rebuild logs into the same WAL; its records
+// are exactly what the global counters saw beyond the rebuild's.
+TEST(ConcurrencyTest, RebuildLogVolumeExcludesConcurrentWriter) {
+  auto db = MakeDb();
+  std::vector<uint64_t> base;
+  for (uint64_t i = 0; i < 3000; ++i) base.push_back(i * 2);
+  test::InsertMany(db.get(), base);
+
+  const CounterSnapshot before = GlobalCounters::Get().Snapshot();
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> commits{0};
+  LogAccount writer_log;  // the writer's own; read after the join
+  std::thread writer([&] {
+    for (uint64_t id = 1; !stop.load(); id += 2) {
+      auto txn = db->BeginTxn();
+      Status s = db->index()->Insert(txn.get(), NumKey(id), id);
+      s = s.ok() ? db->Commit(txn.get()) : db->Abort(txn.get());
+      EXPECT_OK(s);
+      writer_log += txn->ctx()->logged;
+      commits.fetch_add(1);
+    }
+  });
+  while (commits.load() == 0) std::this_thread::yield();
+  RebuildResult res;
+  Status rs = db->index()->RebuildOnline(RebuildOptions(), &res);
+  const uint64_t commits_during = commits.load();
+  stop.store(true);
+  writer.join();
+  ASSERT_OK(rs);
+  const CounterSnapshot delta = GlobalCounters::Get().Snapshot() - before;
+
+  EXPECT_GT(commits_during, 1u);
+  EXPECT_GT(res.log_bytes, 0u);
+  EXPECT_GT(writer_log.bytes, 0u);
+  EXPECT_EQ(res.log_bytes + writer_log.bytes, delta.log_bytes);
+  EXPECT_EQ(res.log_records + writer_log.records, delta.log_records);
   ExpectInvariants(db.get());
 }
 

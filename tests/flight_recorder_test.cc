@@ -68,7 +68,7 @@ TEST(FlightRecorderTest, ExplicitDumpProducesValidBundle) {
     EXPECT_NE(body.find(section), std::string::npos) << section;
   }
   EXPECT_EQ(fr.last_dump_path(), path);
-  EXPECT_GT(GlobalCounters::Get().flight_records_dumped.load(), 0u);
+  EXPECT_GT(GlobalCounters::Get().Snapshot().flight_records_dumped, 0u);
 }
 
 TEST(FlightRecorderTest, ProvidersSplicedAndInvalidOnesBecomeNull) {

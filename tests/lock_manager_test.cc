@@ -180,19 +180,19 @@ TEST(LockManagerTest, WatchdogFiresOnLongWaitAndHoldsShardMutex) {
   ASSERT_OK(lm.Lock(1, k, LockMode::kX, false));
 
   const uint64_t fires_before =
-      GlobalCounters::Get().lock_watchdog_fires.load();
+      GlobalCounters::Get().Snapshot().lock_watchdog_fires;
   std::thread waiter([&] {
     Status s = lm.Lock(2, k, LockMode::kX, false);
     EXPECT_TRUE(s.ok()) << s.ToString();
     lm.Unlock(2, k);
   });
   // Hold well past the watchdog threshold so the waiter's wake fires it.
-  while (GlobalCounters::Get().lock_watchdog_fires.load() == fires_before) {
+  while (GlobalCounters::Get().Snapshot().lock_watchdog_fires == fires_before) {
     std::this_thread::yield();
   }
   lm.Unlock(1, k);
   waiter.join();
-  EXPECT_GT(GlobalCounters::Get().lock_watchdog_fires.load(), fires_before);
+  EXPECT_GT(GlobalCounters::Get().Snapshot().lock_watchdog_fires, fires_before);
   EXPECT_EQ(lm.NumLockedKeys(), 0u);
 }
 

@@ -144,8 +144,8 @@ TEST(MetricRegistryTest, GlobalCountersAreRegistered) {
   // built without a Db still carries every counter.
   const std::string doc = MetricRegistry::Get().ToJson();
   size_t fields = 0;
-  GlobalCounters::Get().ForEach(
-      [&](const char* name, std::atomic<uint64_t>&) {
+  GlobalCounters::Get().Snapshot().ForEach(
+      [&](const char* name, uint64_t) {
         ++fields;
         EXPECT_NE(doc.find("\"" + std::string(name) + "\":"),
                   std::string::npos)
@@ -233,15 +233,15 @@ TEST(SpanTest, RecordsOnceAcrossExitPaths) {
 // waiting and the request is granted.
 Status ContendedLockWait(LockManager* lm, LockKey key, bool timeout) {
   EXPECT_OK(lm->Lock(1, key, LockMode::kX, /*conditional=*/false));
-  auto& waits = GlobalCounters::Get().lock_waits;
-  const uint64_t waits0 = waits.load();
+  auto waits = [] { return GlobalCounters::Get().Snapshot().lock_waits; };
+  const uint64_t waits0 = waits();
   Status s;
   std::thread waiter([&] {
     obs::OpScope op(obs::OpType::kRead);
     s = lm->Lock(2, key, LockMode::kX, /*conditional=*/false);
   });
   if (!timeout) {
-    while (waits.load() == waits0) std::this_thread::yield();
+    while (waits() == waits0) std::this_thread::yield();
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     lm->Unlock(1, key);
   }
@@ -529,7 +529,7 @@ TEST(WatchdogTest, FiresAndNamesPageWaiterAndHolder) {
   ASSERT_OK(lm.Lock(/*owner=*/1, key, LockMode::kX, /*conditional=*/false));
 
   const uint64_t fires_before =
-      GlobalCounters::Get().lock_watchdog_fires.load();
+      GlobalCounters::Get().Snapshot().lock_watchdog_fires;
   testing::internal::CaptureStderr();
 
   std::thread waiter([&lm, key] {
@@ -547,7 +547,7 @@ TEST(WatchdogTest, FiresAndNamesPageWaiterAndHolder) {
   EXPECT_NE(err.find("page 777"), std::string::npos) << err;  // blocked page
   EXPECT_NE(err.find("holder: txn 1"), std::string::npos) << err;
 
-  EXPECT_GE(GlobalCounters::Get().lock_watchdog_fires.load(),
+  EXPECT_GE(GlobalCounters::Get().Snapshot().lock_watchdog_fires,
             fires_before + 1);
 
   bool traced = false;
@@ -565,7 +565,7 @@ TEST(WatchdogTest, ZeroThresholdDisables) {
   lm.set_long_wait_threshold(std::chrono::milliseconds(0));
   const LockKey key = AddressLockKey(888);
   ASSERT_OK(lm.Lock(1, key, LockMode::kX, false));
-  const uint64_t before = GlobalCounters::Get().lock_watchdog_fires.load();
+  const uint64_t before = GlobalCounters::Get().Snapshot().lock_watchdog_fires;
   std::thread waiter([&lm, key] {
     EXPECT_OK(lm.Lock(2, key, LockMode::kX, false));
     lm.Unlock(2, key);
@@ -573,7 +573,7 @@ TEST(WatchdogTest, ZeroThresholdDisables) {
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   lm.Unlock(1, key);
   waiter.join();
-  EXPECT_EQ(GlobalCounters::Get().lock_watchdog_fires.load(), before);
+  EXPECT_EQ(GlobalCounters::Get().Snapshot().lock_watchdog_fires, before);
 }
 
 TEST(DbStatsTest, DumpStatsJsonIsValidWithAllSections) {
@@ -622,8 +622,8 @@ TEST(DbStatsTest, DumpStatsTextNamesEachCounterOnce) {
   auto db = MakeDb();
   test::InsertMany(db.get(), {1, 2, 3});
   const std::string text = db->DumpStatsText();
-  GlobalCounters::Get().ForEach(
-      [&text](const char* name, std::atomic<uint64_t>&) {
+  GlobalCounters::Get().Snapshot().ForEach(
+      [&text](const char* name, uint64_t) {
         std::istringstream words(text);
         int seen = 0;
         for (std::string w; words >> w;) seen += w == name;

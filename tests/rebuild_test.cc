@@ -16,8 +16,10 @@
 #include "core/index.h"
 #include "obs/waitstate.h"
 #include "testing/crash_point.h"
+#include "testing/fault_disk.h"
 #include "testing/oracle.h"
 #include "tests/test_util.h"
+#include "util/counters.h"
 #include "wal/log_manager.h"
 
 namespace oir {
@@ -501,23 +503,15 @@ Status RebuildCheckpointingAtProgressHit(Db* db, const RebuildOptions& opts,
   auto& reg = fault::CrashPointRegistry::Get();
   fault::CrashPointRegistry::SetEnabled(true);
   reg.ResetCounts();
-  std::atomic<bool> parked{false};
-  std::atomic<bool> released{false};
-  reg.Arm("rebuild.progress.logged", hit, [&] {
-    parked.store(true);
-    while (!released.load()) std::this_thread::yield();
-  });
+  test::Parking parking;
+  parking.Arm("rebuild.progress.logged", hit);
   Status status;
   std::thread rebuilder(
       [&] { status = db->index()->RebuildOnline(opts, res); });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (!parked.load() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  EXPECT_TRUE(parked.load()) << "progress record " << hit << " never logged";
-  if (parked.load()) EXPECT_OK(db->Checkpoint());
-  released.store(true);
+  const bool parked = parking.WaitParked();
+  EXPECT_TRUE(parked) << "progress record " << hit << " never logged";
+  if (parked) EXPECT_OK(db->Checkpoint());
+  parking.Release();
   rebuilder.join();
   reg.Disarm();
   fault::CrashPointRegistry::SetEnabled(false);
@@ -586,6 +580,97 @@ TEST(RebuildResumeTest, CheckpointAfterProgressRecordKeepsItsCursor) {
   EXPECT_FALSE(db->has_pending_rebuild());
   test::ExpectTreeContains(db.get(), EvenIds(kN));
   ExpectInvariants(db.get());
+}
+
+// A keycopy record's target may be written back as soon as its latch is
+// released, so its page_lsn may cover only complete updates. The first
+// target of the first top action is a new page fed by two half-full
+// source leaves. Write it back the moment the copy phase has applied it,
+// let the top action complete, and cut the power before the transaction's
+// forced write, with the log durable through the top action: redo skips
+// the target on its page_lsn and undo skips the completed top action, so
+// the written-back image must hold every row the record placed there.
+TEST(RebuildResumeTest, KeyCopyTargetWrittenBackMidCopyRecoversExactly) {
+  const uint64_t kN = 400;
+  DbOptions dbo;
+  dbo.page_size = 2048;
+  fault::FaultInjectingDisk* disk = nullptr;
+  dbo.wrap_disk = [&disk](std::unique_ptr<Disk> base) {
+    auto wrapped = std::make_unique<fault::FaultInjectingDisk>(std::move(base));
+    disk = wrapped.get();
+    return wrapped;
+  };
+  std::unique_ptr<Db> db;
+  ASSERT_OK(Db::Open(dbo, &db));
+  BuildHalfFullIndex(db.get(), kN);
+  LogManager* log = db->log_manager();
+
+  fault::CrashPointRegistry::SetEnabled(true);
+  fault::CrashPointRegistry::Get().ResetCounts();
+  test::Parking at_target;
+  test::Parking at_forced_write;
+  at_target.Arm("rebuild.copy.target_applied", 0);
+  Status status;
+  RebuildResult res;
+  std::thread rebuilder(
+      [&] { status = db->index()->RebuildOnline(RebuildOptions(), &res); });
+  if (at_target.WaitParked()) {
+    // The parked top action's keycopy record is the last one in the log;
+    // its first entry names the first target.
+    LogRecord keycopy;
+    for (auto it = log->Scan(log->head_lsn()); it.Valid(); it.Next()) {
+      if (it.record().type == LogType::kKeyCopy) keycopy = it.record();
+    }
+    EXPECT_FALSE(keycopy.copies.empty());
+    int sources_into_target = 0;
+    for (const KeyCopyEntry& e : keycopy.copies) {
+      sources_into_target += e.tgt_page == keycopy.copies[0].tgt_page;
+    }
+    EXPECT_GE(sources_into_target, 2);
+    if (!keycopy.copies.empty()) {
+      EXPECT_OK(db->buffer_manager()->FlushPage(keycopy.copies[0].tgt_page));
+    }
+    at_forced_write.Arm("rebuild.txn.flush", 0);
+  } else {
+    ADD_FAILURE() << "no keycopy target was ever applied";
+  }
+  at_target.Release();
+  if (at_forced_write.WaitParked()) {
+    // Power cut right here: the log through the completed top action is
+    // durable, no page write after this point is.
+    EXPECT_OK(log->FlushAll());
+    log->SetFailFlushes(true);
+    disk->CutPower();
+  } else {
+    ADD_FAILURE() << "the first rebuild transaction never reached its flush";
+  }
+  at_forced_write.Release();
+  rebuilder.join();
+  fault::CrashPointRegistry::Get().Disarm();
+  fault::CrashPointRegistry::SetEnabled(false);
+  EXPECT_FALSE(status.ok());  // died at the power cut
+  log->SetFailFlushes(false);
+  disk->Restore();
+
+  RecoveryStats rs;
+  ASSERT_OK(db->CrashAndRecover(&rs));
+  test::ExpectTreeContains(db.get(), EvenIds(kN));
+  ExpectInvariants(db.get());
+}
+
+// RebuildResult charges the rebuild its own log only. With no client
+// running, that is every record logged while it ran.
+TEST(RebuildTest, ClientFreeRebuildLogVolumeMatchesGlobalDelta) {
+  auto db = MakeDb();
+  BuildHalfFullIndex(db.get(), 1500);
+  const CounterSnapshot before = GlobalCounters::Get().Snapshot();
+  RebuildResult res;
+  ASSERT_OK(db->index()->RebuildOnline(SmallTxnOptions(), &res));
+  const CounterSnapshot delta = GlobalCounters::Get().Snapshot() - before;
+  EXPECT_GT(res.transactions, 1u);
+  EXPECT_GT(res.log_bytes, 0u);
+  EXPECT_EQ(res.log_bytes, delta.log_bytes);
+  EXPECT_EQ(res.log_records, delta.log_records);
 }
 
 // Satellite regression: a long-running scan opened before the rebuild must

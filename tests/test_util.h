@@ -5,14 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/db.h"
 #include "core/index.h"
+#include "testing/crash_point.h"
 #include "util/random.h"
 
 namespace oir::test {
@@ -128,6 +132,32 @@ inline void ExpectTreeContains(Db* db, const std::set<uint64_t>& ids,
     ++i;
   }
 }
+
+// Parks the thread that reaches hit `hit` of crash point `name` until
+// Release() (the registry must be enabled). Several may be armed one
+// after another: re-arming replaces the registry's armed point, not a
+// handler that is already running.
+struct Parking {
+  std::atomic<bool> parked{false};
+  std::atomic<bool> released{false};
+
+  void Arm(const char* name, uint64_t hit) {
+    fault::CrashPointRegistry::Get().Arm(name, hit, [this] {
+      parked.store(true);
+      while (!released.load()) std::this_thread::yield();
+    });
+  }
+  // True once parked; false after a 60 s deadline.
+  bool WaitParked() {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!parked.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    return parked.load();
+  }
+  void Release() { released.store(true); }
+};
 
 }  // namespace oir::test
 

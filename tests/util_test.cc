@@ -316,8 +316,8 @@ TEST(HistogramTest, ConcurrentAdds) {
 TEST(CountersTest, SnapshotDelta) {
   auto& c = GlobalCounters::Get();
   CounterSnapshot before = c.Snapshot();
-  c.log_bytes.fetch_add(100);
-  c.latch_acquires.fetch_add(3);
+  GlobalCounters::Local().log_bytes.fetch_add(100);
+  GlobalCounters::Local().latch_acquires.fetch_add(3);
   CounterSnapshot delta = c.Snapshot() - before;
   EXPECT_EQ(delta.log_bytes, 100u);
   EXPECT_EQ(delta.latch_acquires, 3u);
@@ -330,8 +330,8 @@ TEST(CountersTest, ForEachVisitsEveryFieldOnce) {
   // once, with a unique name.
   auto& c = GlobalCounters::Get();
   CounterSnapshot before = c.Snapshot();
-  c.pool_hits.fetch_add(11);
-  c.cond_lock_failures.fetch_add(5);
+  GlobalCounters::Local().pool_hits.fetch_add(11);
+  GlobalCounters::Local().cond_lock_failures.fetch_add(5);
   CounterSnapshot delta = c.Snapshot() - before;
 
   std::set<std::string> names;
@@ -344,10 +344,12 @@ TEST(CountersTest, ForEachVisitsEveryFieldOnce) {
   EXPECT_EQ(pool_hits, 11u);
   EXPECT_EQ(cond_fail, 5u);
   EXPECT_TRUE(names.count("lock_watchdog_fires"));
-  // Mutable and snapshot visitors agree on the field set.
-  size_t atomic_fields = 0;
-  c.ForEach([&](const char*, std::atomic<uint64_t>&) { ++atomic_fields; });
-  EXPECT_EQ(names.size(), atomic_fields);
+  // The stripe and the snapshot are generated from the same list: one
+  // 8-byte atomic per snapshot field.
+  EXPECT_EQ(names.size() * sizeof(std::atomic<uint64_t>),
+            sizeof(CounterSnapshot));
+  EXPECT_GE(sizeof(CounterStripe), sizeof(CounterSnapshot));
+  EXPECT_EQ(alignof(CounterStripe), kCacheLineSize);
 }
 
 TEST(ClockTest, MonotoneAndCpuAdvances) {
